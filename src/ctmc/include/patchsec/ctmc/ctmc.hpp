@@ -74,8 +74,15 @@ class Ctmc {
       const std::vector<double>& rewards,
       const linalg::SteadyStateOptions& options = {}) const;
 
-  /// Total exit rate of a state (sum of outgoing rates).
+  /// Total exit rate of a state (sum of outgoing rates).  Scans every
+  /// transition; use max_exit_rate() for the maximum over all states.
   [[nodiscard]] double exit_rate(StateIndex s) const;
+
+  /// Largest exit rate over all states (0 for a chain without transitions)
+  /// in one pass over the transitions.  Each state's rates are summed in
+  /// transition order, as exit_rate() sums them, so the result is
+  /// bit-identical to the maximum of exit_rate(s).
+  [[nodiscard]] double max_exit_rate() const;
 
   /// States reachable from `start` following positive-rate transitions.
   [[nodiscard]] std::vector<bool> reachable_from(StateIndex start) const;

@@ -120,6 +120,14 @@ double Ctmc::exit_rate(StateIndex s) const {
   return acc;
 }
 
+double Ctmc::max_exit_rate() const {
+  std::vector<double> exit(state_count(), 0.0);
+  for (const RateTransition& t : transitions_) exit[t.from] += t.rate;
+  double best = 0.0;
+  for (const double e : exit) best = std::max(best, e);
+  return best;
+}
+
 std::vector<bool> Ctmc::reachable_from(StateIndex start) const {
   if (start >= state_count()) throw std::out_of_range("Ctmc::reachable_from");
   std::vector<std::vector<StateIndex>> adjacency(state_count());

@@ -41,9 +41,7 @@ void TransientSolver::prepare(const Ctmc& chain) {
   // Lambda: strictly above the largest exit rate so the uniformized diagonal
   // stays positive (all entries of P are then non-negative — no clamping is
   // ever needed in the power iteration).
-  double max_exit = 0.0;
-  for (std::size_t s = 0; s < states_; ++s) max_exit = std::max(max_exit, chain.exit_rate(s));
-  lambda_ = max_exit * 1.02;
+  lambda_ = chain.max_exit_rate() * 1.02;
 
   // Assemble P = I + Q/Lambda row by row.  Q rows are sorted; the diagonal
   // entry gets +1 (inserted in order when Q stores none — absorbing states

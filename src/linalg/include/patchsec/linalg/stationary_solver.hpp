@@ -31,8 +31,23 @@
 ///  * SteadyStateMethod::kAuto gets stall detection: the sweep difference is
 ///    sampled at checkpoints, the geometric decay rate is estimated, and when
 ///    the projected sweeps-to-tolerance exceed the remaining budget the
-///    attempt is abandoned early (SteadyStateResult::stalled) in favour of
-///    power iteration, instead of burning the full max_iterations budget.
+///    attempt is abandoned early (SteadyStateResult::stalled) instead of
+///    burning the full max_iterations budget.
+///
+/// kAuto runs Gauss-Seidel, then banded GTH when cheaper, then power
+/// iteration.  prepare() records the generator's lower/upper bandwidth bl/bu
+/// with the cached structure.  When the banded Grassmann-Taksar-Heyman
+/// elimination (subtraction-free, O(n * bl * bu)) costs at most a fixed
+/// multiple of nnz, the sweep is handed to it at the first stall checkpoint
+/// (sweep 32) if the projected remaining sweeps would cost more, and it takes
+/// the place of the power-iteration fallback after a stall.  A wide
+/// redundancy tier in reachability order is such a chain (bandwidth 12 or
+/// less); a chain with every tier wide is not ([6,6,6,6] has bandwidth 243
+/// over 2401 states) and stays on the sweep.  An elimination that breaks
+/// down (no single recurrent class) hands the solve back to the sweep.
+/// Gauss-Seidel solves that converge within 32 sweeps never see the direct
+/// route, and the route is a function of (generator, options) alone.  The
+/// explicit kGaussSeidel, kSor and kPower methods never take it.
 ///
 /// solve_steady_state() remains the stateless entry point and is now a thin
 /// wrapper over a local StationarySolver, so every caller gets the fast
@@ -73,6 +88,8 @@ class StationarySolver {
   [[nodiscard]] std::size_t transpose_rebuilds() const noexcept { return rebuilds_; }
   /// Number of kAuto Gauss-Seidel attempts abandoned by stall detection.
   [[nodiscard]] std::size_t stall_events() const noexcept { return stalls_; }
+  /// Number of kAuto solves answered by the banded GTH direct route.
+  [[nodiscard]] std::size_t direct_solves() const noexcept { return direct_solves_; }
 
   /// Drop all cached structure and scratch (counters are kept).
   void reset();
@@ -81,9 +98,19 @@ class StationarySolver {
   [[nodiscard]] bool structure_matches(const CsrMatrix& q) const noexcept;
   void prepare(const CsrMatrix& q);
 
+  SteadyStateResult solve_auto(const CsrMatrix& q, const SteadyStateOptions& opt);
   SteadyStateResult power_iteration(const CsrMatrix& q, const SteadyStateOptions& opt);
+  /// `allow_stall_exit` arms kAuto stall detection.  `direct_sweeps` > 0
+  /// (the banded GTH cost in nnz-sweeps) also arms the hand-off at the first
+  /// stall checkpoint, reported through `handed_off`, when the projected
+  /// remaining sweeps exceed it.
   SteadyStateResult gauss_seidel(const CsrMatrix& q, const SteadyStateOptions& opt, double omega,
-                                 bool allow_stall_exit);
+                                 bool allow_stall_exit, double direct_sweeps = 0.0,
+                                 bool* handed_off = nullptr);
+  /// Banded GTH on the cached band; converged == false when the elimination
+  /// breaks down (a censored chain with no way down: not a single
+  /// recurrent class).
+  SteadyStateResult banded_gth(const CsrMatrix& q);
 
   SteadyStateOptions options_;
 
@@ -102,6 +129,12 @@ class StationarySolver {
   // (SIZE_MAX when a row has no stored diagonal).
   std::vector<double> diag_;
   std::vector<std::size_t> diag_index_;
+  // Lower/upper bandwidth of Q (max i-j over stored i>j, max j-i over j>i).
+  std::size_t band_lower_ = 0;
+  std::size_t band_upper_ = 0;
+  // Row-major band of Q's off-diagonal rates, (bl + bu + 1) slots per row;
+  // overwritten by the GTH elimination.
+  std::vector<double> band_;
   // Iterate and residual scratch.
   std::vector<double> x_;
   std::vector<double> y_;
@@ -109,6 +142,7 @@ class StationarySolver {
   std::size_t solves_ = 0;
   std::size_t rebuilds_ = 0;
   std::size_t stalls_ = 0;
+  std::size_t direct_solves_ = 0;
 };
 
 }  // namespace patchsec::linalg

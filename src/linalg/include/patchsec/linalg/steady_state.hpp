@@ -9,9 +9,14 @@
 ///  * Gauss-Seidel / SOR sweeps on the normal equations  Q^T x = 0, which
 ///    converge much faster on the stiff generators produced by patch models
 ///    (rates spanning 1e-5 .. 1e+1 per hour).
-/// The public entry point (SteadyStateMethod::kAuto) tries Gauss-Seidel first
-/// and falls back to power iteration when the sweep stalls (detected early by
-/// plateau projection rather than by exhausting the iteration budget).
+/// The public entry point (SteadyStateMethod::kAuto) runs Gauss-Seidel, then
+/// a banded GTH direct solve when that is cheaper, then power iteration.
+/// Gauss-Seidel solves that converge within 32 sweeps are returned as they
+/// are.  A slower sweep is handed to the subtraction-free Grassmann-Taksar-
+/// Heyman elimination restricted to the generator's band when the band is
+/// narrow (a wide redundancy tier in reachability order).  Otherwise a stalled
+/// sweep (detected early by plateau projection rather than by exhausting the
+/// iteration budget) falls back to power iteration.
 ///
 /// solve_steady_state() is the stateless convenience wrapper; callers that
 /// solve many same-structure generators should hold a
@@ -31,7 +36,14 @@ enum class SteadyStateMethod {
   kPower,        ///< Power iteration on the uniformized DTMC P = I + Q/Lambda.
   kGaussSeidel,  ///< Gauss-Seidel sweeps on Q^T x = 0.
   kSor,          ///< Successive over-relaxation; omega from SteadyStateOptions.
-  kAuto,         ///< Gauss-Seidel with power-iteration fallback (default).
+  kAuto,         ///< Gauss-Seidel, then banded GTH when cheaper, then power (default).
+};
+
+/// \brief Which numerical route produced a SteadyStateResult's distribution.
+enum class SteadyStateRoute {
+  kGaussSeidel,  ///< Gauss-Seidel or SOR sweeps.
+  kPower,        ///< Power iteration on the uniformized DTMC.
+  kBandedGth,    ///< Banded GTH elimination (kAuto only; exact up to rounding).
 };
 
 /// \brief Tuning knobs for solve_steady_state().
@@ -45,14 +57,20 @@ struct SteadyStateOptions {
 /// \brief Stationary distribution plus convergence diagnostics.
 struct SteadyStateResult {
   std::vector<double> distribution;  ///< stationary probabilities, sums to 1.
-  std::size_t iterations = 0;        ///< iterations spent by the winning method.
+  /// Iterations spent by the winning method.  A kBandedGth result reports
+  /// the Gauss-Seidel sweeps run before the direct solve took over.
+  std::size_t iterations = 0;
   double residual = 0.0;  ///< max-norm of pi*Q at the returned iterate.
   bool converged = false;  ///< false when max_iterations elapsed first.
   /// kAuto only: the Gauss-Seidel attempt was abandoned early because its
   /// sweep difference plateaued (projected sweeps-to-tolerance exceeded the
-  /// remaining budget), and power iteration took over.  Never set when the
-  /// returned distribution converged via Gauss-Seidel.
+  /// remaining budget), and banded GTH or power iteration took over.  Never
+  /// set when the returned distribution converged via Gauss-Seidel, nor when
+  /// the sweep was handed to banded GTH at its first checkpoint.
   bool stalled = false;
+  /// The route that produced `distribution` (a one-state generator needs no
+  /// solve and keeps the default).
+  SteadyStateRoute route = SteadyStateRoute::kGaussSeidel;
 };
 
 /// \brief Solve pi * Q = 0, sum(pi) = 1 for a CTMC infinitesimal generator.
@@ -62,8 +80,8 @@ struct SteadyStateResult {
 ///                   chain that petri::build_reachability_graph lowered from
 ///                   an SRN (tangible markings only).
 /// \param options    Method selection and convergence tuning; the default
-///                   (kAuto) tries Gauss-Seidel first and falls back to power
-///                   iteration when the sweep stalls.
+///                   (kAuto) runs Gauss-Seidel, then banded GTH when cheaper,
+///                   then power iteration.
 /// \return Stationary distribution with iteration count, final residual and a
 ///         convergence flag (the distribution is still normalized and usable
 ///         as a best-effort estimate when \c converged is false).
@@ -80,6 +98,10 @@ struct SteadyStateResult {
 /// \return pi over states 0..n (product-form solution, normalized).
 /// \throws std::invalid_argument on length mismatch, std::domain_error on
 ///         non-positive death rates.
+///
+/// The running product is rescaled whenever it grows past 1e150, so long
+/// chains whose mode lies far from state 0 (a tier of thousands of servers)
+/// stay finite; chains that never reach the threshold are untouched.
 ///
 /// Used both as a fast path for the upper-layer redundancy chains and as an
 /// independent oracle for the iterative solvers in tests.

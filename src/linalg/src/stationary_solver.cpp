@@ -36,6 +36,14 @@ constexpr double kStallMinDiffFactor = 1e4;
 constexpr double kExactCheckWindow = 64.0;
 constexpr double kExactCheckHorizon = 64.0;
 
+// Banded GTH direct route (kAuto only).  It is eligible when its work
+// n*(bl+1)*(bu+1) is at most kDirectCostPerNnz nnz-sweeps, and it takes over
+// at the first stall checkpoint when the projected remaining Gauss-Seidel
+// sweeps cost more, or after a stall.  The back substitution rescales its
+// unnormalized solution past kGthRescaleAbove so long chains stay finite.
+constexpr double kDirectCostPerNnz = 32.0;
+constexpr double kGthRescaleAbove = 1e150;
+
 }  // namespace
 
 void StationarySolver::reset() {
@@ -47,6 +55,7 @@ void StationarySolver::reset() {
   scatter_.clear();
   diag_.clear();
   diag_index_.clear();
+  band_.clear();
   x_.clear();
   y_.clear();
 }
@@ -83,16 +92,23 @@ void StationarySolver::prepare(const CsrMatrix& q) {
   // next same-structure solve can refresh values in one pass.  Diagonal
   // entries are excluded from the transpose (they are consumed separately by
   // the sweeps), which both shrinks the arrays and removes the j != i branch
-  // from the Gauss-Seidel inner loop.
+  // from the Gauss-Seidel inner loop.  The same pass records the bandwidth.
   constexpr std::size_t kDiagSlot = std::numeric_limits<std::size_t>::max();
   t_row_offsets_.assign(n + 1, 0);
   std::size_t diag_count = 0;
+  band_lower_ = 0;
+  band_upper_ = 0;
   for (std::size_t r = 0; r < n; ++r) {
     for (std::size_t k = off[r]; k < off[r + 1]; ++k) {
       if (col[k] == r) {
         ++diag_count;
       } else {
         ++t_row_offsets_[col[k] + 1];
+        if (col[k] < r) {
+          band_lower_ = std::max(band_lower_, r - col[k]);
+        } else {
+          band_upper_ = std::max(band_upper_, col[k] - r);
+        }
       }
     }
   }
@@ -152,6 +168,67 @@ SteadyStateResult StationarySolver::power_iteration(const CsrMatrix& q,
   q.left_multiply(x_, y_);
   result.residual = norm_inf(y_);
   result.distribution = x_;
+  result.route = SteadyStateRoute::kPower;
+  return result;
+}
+
+// Grassmann-Taksar-Heyman elimination restricted to the band.  Eliminating
+// state k (last first) censors the chain onto {0..k-1}: with s = sum_{j<k}
+// a(k,j), every a(i,k) becomes a(i,k)/s and a(i,j) += a(i,k) * a(k,j).  Only
+// i in [k-bu, k) and j in [k-bl, k) are touched, so the band holds all
+// fill-in, and no subtraction ever happens (the diagonal is never read).
+// Back substitution: pi_0 = 1, pi_k = sum_{i<k} pi_i * a(i,k).
+SteadyStateResult StationarySolver::banded_gth(const CsrMatrix& q) {
+  const std::size_t n = q.rows();
+  const std::size_t bl = band_lower_;
+  const std::size_t bu = band_upper_;
+  const std::size_t w = bl + bu + 1;
+  const auto& off = q.row_offsets();
+  const auto& col = q.col_indices();
+  const auto& val = q.values();
+  // a(i, j) lives at band_[i * w + bl + j - i]; at(i) points at a(i, 0).
+  const auto at = [&](std::size_t i) { return band_.data() + i * (w - 1) + bl; };
+
+  SteadyStateResult result;
+  result.route = SteadyStateRoute::kBandedGth;
+  band_.assign(n * w, 0.0);
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t k = off[r]; k < off[r + 1]; ++k) {
+      if (col[k] == r) continue;
+      if (!(val[k] >= 0.0)) return result;  // not a generator
+      at(r)[col[k]] = val[k];
+    }
+  }
+  for (std::size_t k = n - 1; k > 0; --k) {
+    const double* row_k = at(k);
+    const std::size_t jlo = k > bl ? k - bl : 0;
+    double s = 0.0;
+    for (std::size_t j = jlo; j < k; ++j) s += row_k[j];
+    if (!(s > 0.0)) return result;  // k cannot reach {0..k-1}
+    for (std::size_t i = k > bu ? k - bu : 0; i < k; ++i) {
+      double* row_i = at(i);
+      const double a = row_i[k] / s;
+      row_i[k] = a;
+      if (a == 0.0) continue;
+      for (std::size_t j = jlo; j < k; ++j) row_i[j] += a * row_k[j];
+    }
+  }
+  x_.assign(n, 0.0);
+  x_[0] = 1.0;
+  for (std::size_t k = 1; k < n; ++k) {
+    double acc = 0.0;
+    for (std::size_t i = k > bu ? k - bu : 0; i < k; ++i) acc += x_[i] * at(i)[k];
+    x_[k] = acc;
+    if (acc > kGthRescaleAbove) {
+      const double inv = 1.0 / acc;
+      for (std::size_t i = 0; i <= k; ++i) x_[i] *= inv;
+    }
+  }
+  normalize_probability(x_);
+  q.left_multiply(x_, y_);
+  result.residual = norm_inf(y_);
+  result.converged = true;
+  result.distribution = x_;
   return result;
 }
 
@@ -171,7 +248,8 @@ SteadyStateResult StationarySolver::power_iteration(const CsrMatrix& q,
 // is tight; the equivalence tests pin the iteration counts on the paper
 // models.
 SteadyStateResult StationarySolver::gauss_seidel(const CsrMatrix& q, const SteadyStateOptions& opt,
-                                                 double omega, bool allow_stall_exit) {
+                                                 double omega, bool allow_stall_exit,
+                                                 double direct_sweeps, bool* handed_off) {
   const std::size_t n = q.rows();
   x_.assign(n, 1.0 / static_cast<double>(n));
   double sum_prev = 1.0;
@@ -186,6 +264,7 @@ SteadyStateResult StationarySolver::gauss_seidel(const CsrMatrix& q, const Stead
   bool exact_tail = false;
   double prev_sum = 1.0;
   double d_prev = 0.0;
+  double diff_prev = 0.0;  // normalized sweep difference of the previous sweep
 
   SteadyStateResult result;
   for (std::size_t it = 1; it <= opt.max_iterations; ++it) {
@@ -254,8 +333,19 @@ SteadyStateResult StationarySolver::gauss_seidel(const CsrMatrix& q, const Stead
       sum_prev = 1.0;
     }
 
+    const double diff_now = d / sum;
     if (allow_stall_exit && it - checkpoint_it >= kStallCheckInterval) {
-      const double diff_now = d / sum;
+      if (checkpoint_it == 0 && direct_sweeps > 0.0) {
+        // First checkpoint: hand the rest to banded GTH when the remaining
+        // sweeps, projected from the last sweep's decay, cost more.
+        const double rate = diff_now / diff_prev;
+        const double remaining = rate < 1.0 ? std::log(opt.tolerance / diff_now) / std::log(rate)
+                                            : std::numeric_limits<double>::infinity();
+        if (remaining > direct_sweeps) {
+          *handed_off = true;
+          return result;
+        }
+      }
       const bool far_from_converged = diff_now > kStallMinDiffFactor * opt.tolerance;
       if (checkpoint_it != 0 && far_from_converged && checkpoint_diff > 0.0) {
         const double span = static_cast<double>(it - checkpoint_it);
@@ -277,6 +367,7 @@ SteadyStateResult StationarySolver::gauss_seidel(const CsrMatrix& q, const Stead
       checkpoint_diff = diff_now;
       checkpoint_it = it;
     }
+    diff_prev = diff_now;
   }
   normalize_probability(x_);
   q.left_multiply(x_, y_);
@@ -308,15 +399,43 @@ SteadyStateResult StationarySolver::solve(const CsrMatrix& generator,
       return gauss_seidel(generator, options, 1.0, /*allow_stall_exit=*/false);
     case SteadyStateMethod::kSor:
       return gauss_seidel(generator, options, options.sor_relaxation, /*allow_stall_exit=*/false);
-    case SteadyStateMethod::kAuto: {
-      SteadyStateResult gs = gauss_seidel(generator, options, 1.0, /*allow_stall_exit=*/true);
-      if (gs.converged && gs.residual < 1e-8) return gs;
-      SteadyStateResult pw = power_iteration(generator, options);
-      pw.stalled = gs.stalled;
-      return (pw.residual < gs.residual) ? pw : gs;
-    }
+    case SteadyStateMethod::kAuto:
+      return solve_auto(generator, options);
   }
   throw std::logic_error("solve_steady_state: unknown method");
+}
+
+SteadyStateResult StationarySolver::solve_auto(const CsrMatrix& q, const SteadyStateOptions& opt) {
+  // Banded GTH work n*(bl+1)*(bu+1) in nnz-sweeps; infinite for an empty
+  // generator.
+  const double direct_sweeps = static_cast<double>(q.rows()) *
+                               static_cast<double>(band_lower_ + 1) *
+                               static_cast<double>(band_upper_ + 1) /
+                               static_cast<double>(q.nnz());
+  const bool banded = direct_sweeps <= kDirectCostPerNnz;
+  bool handed_off = false;
+  SteadyStateResult gs = gauss_seidel(q, opt, 1.0, /*allow_stall_exit=*/true,
+                                      banded ? direct_sweeps : 0.0, &handed_off);
+  if (gs.converged && gs.residual < 1e-8) return gs;
+  // A sweep that merely ran out of budget is not handed over: the budget is
+  // the caller's, and the power fallback reports its exhaustion as before.
+  if (handed_off || (banded && gs.stalled)) {
+    SteadyStateResult direct = banded_gth(q);
+    if (direct.converged) {
+      ++direct_solves_;
+      direct.iterations = gs.iterations;
+      direct.stalled = gs.stalled;
+      return direct;
+    }
+    // Breakdown (no single recurrent class): finish as the sweep alone would.
+    if (handed_off) {
+      gs = gauss_seidel(q, opt, 1.0, /*allow_stall_exit=*/true);
+      if (gs.converged && gs.residual < 1e-8) return gs;
+    }
+  }
+  SteadyStateResult pw = power_iteration(q, opt);
+  pw.stalled = gs.stalled;
+  return (pw.residual < gs.residual) ? pw : gs;
 }
 
 }  // namespace patchsec::linalg

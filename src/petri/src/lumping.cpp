@@ -545,14 +545,6 @@ const std::pair<std::vector<double>, std::vector<double>>& gauss_legendre_16() {
   return rule;
 }
 
-double max_exit_rate(const ctmc::Ctmc& chain) {
-  std::vector<double> exit(chain.state_count(), 0.0);
-  for (const ctmc::RateTransition& t : chain.transitions()) exit[t.from] += t.rate;
-  double best = 0.0;
-  for (const double e : exit) best = std::max(best, e);
-  return best;
-}
-
 }  // namespace
 
 FactoredAnalyzer::FactoredAnalyzer(const SrnModel& model, const ComponentSplit& split,
@@ -656,7 +648,7 @@ double FactoredAnalyzer::reward_curve(const SeparableReward& reward,
   // uniformization truncation error (Lambda_eff * h <= 8 per 16-node panel
   // gives ~1e-16 relative panel error).
   double rate_scale = 0.0;
-  for (const ReachabilityGraph& graph : graphs_) rate_scale += 2.0 * max_exit_rate(graph.chain);
+  for (const ReachabilityGraph& graph : graphs_) rate_scale += 2.0 * graph.chain.max_exit_rate();
 
   struct Event {
     double time;

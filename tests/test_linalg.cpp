@@ -309,3 +309,32 @@ TEST(BirthDeath, TwoStateClosedForm) {
   EXPECT_NEAR(pi[0], 0.75, 1e-12);
   EXPECT_NEAR(pi[1], 0.25, 1e-12);
 }
+
+TEST(BirthDeath, LongTierStaysFiniteAndMatchesBinomial) {
+  // A tier of n independent servers (k up -> k+1 at (n-k)*mu, k+1 -> k at
+  // (k+1)*lambda) is Binomial(n, mu/(lambda+mu)).  From state 0 the running
+  // product climbs past 1e4000 before the mode, so it must be rescaled.
+  const std::size_t n = 2000;
+  const double mu = 1.0;
+  const double lambda = 0.01;
+  std::vector<double> birth(n), death(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    birth[i] = static_cast<double>(n - i) * mu;
+    death[i] = static_cast<double>(i + 1) * lambda;
+  }
+  const std::vector<double> pi = la::birth_death_steady_state(birth, death);
+  ASSERT_EQ(pi.size(), n + 1);
+  const double p = mu / (lambda + mu);
+  double mean = 0.0;
+  for (std::size_t k = 0; k <= n; ++k) {
+    ASSERT_TRUE(std::isfinite(pi[k])) << k;
+    const double kd = static_cast<double>(k);
+    const double nd = static_cast<double>(n);
+    const double log_pmf = std::lgamma(nd + 1.0) - std::lgamma(kd + 1.0) -
+                           std::lgamma(nd - kd + 1.0) + kd * std::log(p) +
+                           (nd - kd) * std::log1p(-p);
+    EXPECT_NEAR(pi[k], std::exp(log_pmf), 1e-11) << k;
+    mean += kd * pi[k];
+  }
+  EXPECT_NEAR(mean, static_cast<double>(n) * p, 1e-9);
+}

@@ -7,13 +7,17 @@
 // never more iterations than the reference on birth-death oracles, the paper
 // case-study SRNs and a randomized generator fuzz set — so neither the
 // workspace caching, the in-sweep convergence test nor the kAuto stall
-// detection can silently change numerics or degrade convergence.
+// detection can silently change numerics or degrade convergence.  The kAuto
+// banded GTH route is pinned against the closed-form COA and explicit
+// Gauss-Seidel.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstddef>
+#include <map>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "patchsec/avail/aggregation.hpp"
@@ -460,9 +464,20 @@ TEST(StationarySolverStall, AbandonsHopelessGaussSeidelUnderAuto) {
   // radius is ~cos^2(pi/n) -> thousands of sweeps to 1e-12, far beyond the
   // budget below.  The classical kAuto burned max_iterations twice; the
   // rewrite must detect the plateau, abandon the sweep early and fall back.
+  // The states are renumbered i -> 37*i mod n, which spreads the chain over
+  // a bandwidth of 37: banded GTH would cost far more than 32 sweeps, so
+  // kAuto keeps the stall path.
   const std::size_t n = 64;
   std::vector<double> birth(n - 1, 1.0), death(n - 1, 1.08);
-  const la::CsrMatrix q = birth_death_generator(birth, death);
+  const la::CsrMatrix banded = birth_death_generator(birth, death);
+  patchsec::ctmc::Ctmc shuffled;
+  shuffled.add_states(n);
+  const auto renumber = [n](std::size_t i) { return (37 * i) % n; };
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    shuffled.add_transition(renumber(i), renumber(i + 1), birth[i]);
+    shuffled.add_transition(renumber(i + 1), renumber(i), death[i]);
+  }
+  const la::CsrMatrix q = shuffled.generator();
 
   la::SteadyStateOptions opt;
   opt.method = la::SteadyStateMethod::kAuto;
@@ -474,7 +489,9 @@ TEST(StationarySolverStall, AbandonsHopelessGaussSeidelUnderAuto) {
   const la::SteadyStateResult got = solver.solve(q, opt);
   EXPECT_FALSE(got.converged);
   EXPECT_TRUE(got.stalled);
+  EXPECT_EQ(got.route, la::SteadyStateRoute::kPower);
   EXPECT_EQ(solver.stall_events(), 1u);
+  EXPECT_EQ(solver.direct_solves(), 0u);
   // The early bail trades the abandoned Gauss-Seidel burn for the power
   // fallback, so the best-effort answer is never worse than power iteration
   // alone under the same budget.
@@ -491,8 +508,163 @@ TEST(StationarySolverStall, AbandonsHopelessGaussSeidelUnderAuto) {
   const la::SteadyStateResult full = solver.solve(q, generous);
   EXPECT_TRUE(full.converged);
   EXPECT_FALSE(full.stalled);
-  EXPECT_LT(la::max_abs_diff(full.distribution, la::birth_death_steady_state(birth, death)),
-            1e-9);
+  std::vector<double> oracle(n);
+  const std::vector<double> bd = la::birth_death_steady_state(birth, death);
+  for (std::size_t i = 0; i < n; ++i) oracle[renumber(i)] = bd[i];
+  EXPECT_LT(la::max_abs_diff(full.distribution, oracle), 1e-9);
+
+  // In its natural (banded) order the same chain is handed to banded GTH
+  // under the small budget and comes back exact.
+  const la::SteadyStateResult direct = solver.solve(banded, opt);
+  EXPECT_TRUE(direct.converged);
+  EXPECT_FALSE(direct.stalled);
+  EXPECT_EQ(direct.route, la::SteadyStateRoute::kBandedGth);
+  EXPECT_EQ(solver.direct_solves(), 1u);
+  EXPECT_LT(la::max_abs_diff(direct.distribution, bd), 1e-12);
+}
+
+// ---------------------------------------------------------------------------
+// Banded GTH direct route.
+// ---------------------------------------------------------------------------
+
+struct WideTierCase {
+  ent::RedundancyDesign design;
+  double cadence_hours;
+};
+
+// Upper-layer COA of `design` solved through `solver` (the Session reward
+// loop, in its order).
+double network_coa(la::StationarySolver& solver, const ent::RedundancyDesign& design,
+                   const std::map<ent::ServerRole, av::AggregatedRates>& rates,
+                   la::SteadyStateResult& result) {
+  const av::NetworkSrn net = av::build_network_srn(design, rates);
+  const pt::ReachabilityGraph graph = pt::build_reachability_graph(net.model);
+  result = solver.solve(graph.chain.generator());
+  const pt::RewardFunction reward = net.coa_reward();
+  double coa = 0.0;
+  for (std::size_t i = 0; i < graph.tangible_count(); ++i) {
+    coa += result.distribution[i] * reward(graph.tangible_markings[i]);
+  }
+  return coa;
+}
+
+TEST(StationarySolverDirect, WideTiersMatchTheClosedForm) {
+  // One wide tier makes the chain banded in reachability order (bandwidth 12,
+  // or 8 when the wide tier is the last role).  Gauss-Seidel needs hundreds
+  // of sweeps there; kAuto hands it to banded GTH at sweep 32.
+  const core::Session session(core::Scenario::paper_case_study());
+  la::StationarySolver solver;
+  std::size_t direct = 0;
+  for (const double cadence : {168.0, 720.0}) {
+    const auto& rates = session.aggregated_rates(cadence);
+    for (const ent::RedundancyDesign& design :
+         {ent::RedundancyDesign{{55, 1, 1, 1}}, ent::RedundancyDesign{{781, 1, 1, 1}},
+          ent::RedundancyDesign{{2000, 1, 1, 1}}, ent::RedundancyDesign{{1, 1, 1, 786}}}) {
+      la::SteadyStateResult result;
+      const double coa = network_coa(solver, design, rates, result);
+      const std::string label = design.name() + " @" + std::to_string(cadence);
+      EXPECT_TRUE(result.converged) << label;
+      EXPECT_FALSE(result.stalled) << label;
+      EXPECT_EQ(result.route, la::SteadyStateRoute::kBandedGth) << label;
+      EXPECT_EQ(result.iterations, 32u) << label;
+      EXPECT_LT(result.residual, 1e-14) << label;
+      EXPECT_NEAR(coa, av::coa_closed_form(design, rates), 1e-13) << label;
+      EXPECT_EQ(solver.direct_solves(), ++direct) << label;
+    }
+  }
+  EXPECT_EQ(solver.stall_events(), 0u);
+}
+
+TEST(StationarySolverDirect, StallCliffKeyConverges) {
+  // [1,1,1,1000] at 168 h used to stall Gauss-Seidel into power iteration
+  // (about 24k iterations).
+  const core::Session session(core::Scenario::paper_case_study());
+  const ent::RedundancyDesign design{{1, 1, 1, 1000}};
+  const auto& rates = session.aggregated_rates(168.0);
+  la::StationarySolver solver;
+  la::SteadyStateResult result;
+  const double coa = network_coa(solver, design, rates, result);
+  EXPECT_TRUE(result.converged && !result.stalled);
+  EXPECT_EQ(result.route, la::SteadyStateRoute::kBandedGth);
+  EXPECT_NEAR(coa, av::coa_closed_form(design, rates), 1e-13);
+}
+
+TEST(StationarySolverDirect, WideBandStaysOnGaussSeidel) {
+  // Every tier wide: bandwidth 243 of 2401 states, GTH would cost thousands
+  // of sweeps.  kAuto must then be bit-identical to explicit Gauss-Seidel.
+  const core::Session session(core::Scenario::paper_case_study());
+  const la::CsrMatrix q = network_generator(session, 6);
+  la::StationarySolver solver;
+  const la::SteadyStateResult automatic = solver.solve(q);
+  la::SteadyStateOptions gs;
+  gs.method = la::SteadyStateMethod::kGaussSeidel;
+  const la::SteadyStateResult plain = solver.solve(q, gs);
+  EXPECT_EQ(automatic.route, la::SteadyStateRoute::kGaussSeidel);
+  EXPECT_EQ(automatic.iterations, plain.iterations);
+  EXPECT_EQ(automatic.distribution, plain.distribution);
+  EXPECT_EQ(automatic.residual, plain.residual);
+  EXPECT_EQ(solver.direct_solves(), 0u);
+}
+
+TEST(StationarySolverDirect, ExplicitMethodsNeverTakeTheDirectRoute) {
+  const std::size_t n = 200;
+  std::vector<double> birth(n - 1, 1.0), death(n - 1, 1.05);
+  const la::CsrMatrix q = birth_death_generator(birth, death);
+  la::StationarySolver solver;
+  for (la::SteadyStateMethod method : {la::SteadyStateMethod::kGaussSeidel,
+                                       la::SteadyStateMethod::kSor,
+                                       la::SteadyStateMethod::kPower}) {
+    la::SteadyStateOptions opt;
+    opt.method = method;
+    opt.max_iterations = 500;
+    const la::SteadyStateResult r = solver.solve(q, opt);
+    EXPECT_NE(r.route, la::SteadyStateRoute::kBandedGth) << static_cast<int>(method);
+    EXPECT_FALSE(r.converged) << static_cast<int>(method);
+  }
+  EXPECT_EQ(solver.direct_solves(), 0u);
+  const la::SteadyStateResult r = solver.solve(q);
+  EXPECT_EQ(r.route, la::SteadyStateRoute::kBandedGth);
+  EXPECT_LT(la::max_abs_diff(r.distribution, la::birth_death_steady_state(birth, death)), 1e-12);
+}
+
+TEST(StationarySolverDirect, BreakdownFallsBackToTheSweep) {
+  // State 0 is transient (nothing returns to it), so GTH finds no way down
+  // from state 1; kAuto must finish on Gauss-Seidel exactly as it would have
+  // without the direct route.
+  const std::size_t n = 120;
+  patchsec::ctmc::Ctmc chain;
+  chain.add_states(n);
+  chain.add_transition(0, 1, 1.0);
+  for (std::size_t i = 1; i + 1 < n; ++i) {
+    chain.add_transition(i, i + 1, 1.0);
+    chain.add_transition(i + 1, i, 1.02);
+  }
+  const la::CsrMatrix q = chain.generator();
+  la::StationarySolver solver;
+  const la::SteadyStateResult automatic = solver.solve(q);
+  la::SteadyStateOptions gs;
+  gs.method = la::SteadyStateMethod::kGaussSeidel;
+  const la::SteadyStateResult plain = solver.solve(q, gs);
+  EXPECT_EQ(solver.direct_solves(), 0u);
+  EXPECT_EQ(automatic.route, la::SteadyStateRoute::kGaussSeidel);
+  EXPECT_TRUE(automatic.converged);
+  EXPECT_EQ(automatic.iterations, plain.iterations);
+  EXPECT_EQ(automatic.distribution, plain.distribution);
+  EXPECT_EQ(automatic.distribution[0], 0.0);
+}
+
+TEST(StationarySolverDirect, ClosedFormSurvivesLongTiersAndMatchesSession) {
+  // birth_death_steady_state used to overflow from a 220-server tier on at
+  // 168 h; the closed form must stay finite and agree with the flat solve.
+  const core::Session session(core::Scenario::paper_case_study());
+  const ent::RedundancyDesign design{{2000, 1, 1, 1}};
+  for (const double cadence : {168.0, 720.0}) {
+    const double closed = av::coa_closed_form(design, session.aggregated_rates(cadence));
+    ASSERT_TRUE(std::isfinite(closed)) << cadence;
+    const core::EvalReport report = session.evaluate(design, cadence);
+    EXPECT_TRUE(report.converged()) << cadence;
+    EXPECT_NEAR(report.coa, closed, 1e-13) << cadence;
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <random>
 #include <vector>
@@ -253,6 +254,26 @@ TEST(TransientSolver, WorkspaceReusesStructureAcrossRateChanges) {
   // A different structure rebuilds.
   solver.prepare(random_chain(5, 3));
   EXPECT_EQ(solver.structure_builds(), 2u);
+}
+
+TEST(TransientSolver, UniformizationRateMatchesPerStateExitRates) {
+  // prepare() takes Lambda from the one-pass Ctmc::max_exit_rate(); it must
+  // be bit-identical to the per-state exit_rate() scan it replaced, so every
+  // transient curve is unchanged.  Parallel edges and an exit-free state
+  // exercise the summation order.
+  for (std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    ct::Ctmc c = random_chain(11, seed);
+    c.add_transition(3, 7, 0.1);
+    c.add_transition(3, 7, 0.2);
+    c.add_state();
+    double max_exit = 0.0;
+    for (std::size_t s = 0; s < c.state_count(); ++s) max_exit = std::max(max_exit, c.exit_rate(s));
+    EXPECT_EQ(c.max_exit_rate(), max_exit) << "seed=" << seed;
+    ct::TransientSolver solver;
+    solver.prepare(c);
+    EXPECT_EQ(solver.diagnostics().uniformization_rate, max_exit * 1.02) << "seed=" << seed;
+  }
+  EXPECT_EQ(ct::Ctmc().max_exit_rate(), 0.0);
 }
 
 TEST(TransientSolver, ZeroHorizonAndFrozenChain) {
