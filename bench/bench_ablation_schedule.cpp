@@ -7,12 +7,11 @@
 #include <cstdio>
 
 #include "patchsec/avail/network_srn.hpp"
-#include "patchsec/core/evaluation.hpp"
+#include "patchsec/enterprise/network.hpp"
 
 namespace {
 
 namespace av = patchsec::avail;
-namespace core = patchsec::core;
 namespace ent = patchsec::enterprise;
 
 void print_schedule_sweep() {

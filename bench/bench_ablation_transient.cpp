@@ -5,6 +5,8 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <map>
+#include <vector>
 
 #include "patchsec/avail/transient_coa.hpp"
 #include "patchsec/enterprise/network.hpp"
@@ -22,6 +24,15 @@ std::map<ent::ServerRole, av::AggregatedRates> aggregate_all() {
   return rates;
 }
 
+// Capacity shortfall of one patch wave over [0, horizon]: the steady COA
+// times the horizon minus the accumulated COA after the wave.
+double dip_shortfall(const ent::RedundancyDesign& design,
+                     const std::map<ent::ServerRole, av::AggregatedRates>& rates,
+                     const std::map<ent::ServerRole, unsigned>& wave, double horizon_hours) {
+  return av::capacity_oriented_availability(design, rates) * horizon_hours -
+         av::transient_coa_detailed(design, rates, {horizon_hours}, wave).accumulated_coa_hours;
+}
+
 void print_transient() {
   const auto rates = aggregate_all();
   const std::vector<double> times = {0.0, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0};
@@ -35,9 +46,9 @@ void print_transient() {
   for (const auto& design :
        {ent::RedundancyDesign{{1, 1, 1, 1}}, ent::RedundancyDesign{{1, 1, 2, 1}},
         ent::example_network_design()}) {
-    const auto curve = av::transient_coa_curve(design, rates, one_app, times);
+    const auto eval = av::transient_coa_detailed(design, rates, times, one_app);
     std::printf("%-8s", design.count(ent::ServerRole::kApp) == 1 ? "1 APP" : "2 APP");
-    for (const auto& p : curve) std::printf(" %8.4f", p.coa);
+    for (const auto& p : eval.curve) std::printf(" %8.4f", p.coa);
     std::printf("   [%s]\n", design.name().c_str());
   }
 
@@ -45,8 +56,8 @@ void print_transient() {
   for (const auto& design :
        {ent::RedundancyDesign{{1, 1, 1, 1}}, ent::RedundancyDesign{{1, 1, 2, 1}},
         ent::example_network_design()}) {
-    const double shortfall = av::patch_dip_shortfall(design, rates, one_app, 24.0);
-    std::printf("  %-30s %10.5f\n", design.name().c_str(), shortfall);
+    std::printf("  %-30s %10.5f\n", design.name().c_str(),
+                dip_shortfall(design, rates, one_app, 24.0));
   }
   std::printf("\nReading: without redundancy the dip goes to zero service; with a second\n"
               "app server it is a ~17%% capacity reduction healing at rate mu_app ~= 1/h.\n\n");
@@ -58,7 +69,7 @@ void BM_TransientCurve(benchmark::State& state) {
   const std::vector<double> times = {0.0, 0.5, 1.0, 4.0};
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        av::transient_coa_curve(ent::example_network_design(), rates, one_app, times));
+        av::transient_coa_detailed(ent::example_network_design(), rates, times, one_app));
   }
 }
 BENCHMARK(BM_TransientCurve);
@@ -67,8 +78,7 @@ void BM_DipShortfall(benchmark::State& state) {
   const auto rates = aggregate_all();
   const std::map<ent::ServerRole, unsigned> one_app{{ent::ServerRole::kApp, 1}};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        av::patch_dip_shortfall(ent::example_network_design(), rates, one_app, 24.0, 64));
+    benchmark::DoNotOptimize(dip_shortfall(ent::example_network_design(), rates, one_app, 24.0));
   }
 }
 BENCHMARK(BM_DipShortfall);

@@ -114,15 +114,14 @@ BENCHMARK(BM_LumpedEvaluate)->Arg(6)->Arg(25)->Arg(50);
 
 void BM_LumpedTransientK50(benchmark::State& state) {
   const ent::RedundancyDesign design = uniform(50);
-  av::TransientCoaOptions options;
+  std::map<ent::ServerRole, unsigned> wave;
   for (unsigned role = 0; role < ent::kRoleCount; ++role) {
-    options.initial_down.emplace(static_cast<ent::ServerRole>(role), 5u);
+    wave.emplace(static_cast<ent::ServerRole>(role), 5u);
   }
   std::vector<double> grid;
   for (int j = 1; j <= 16; ++j) grid.push_back(24.0 * j / 16.0);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        av::transient_coa_lumped_detailed(design, rates(), grid, options));
+    benchmark::DoNotOptimize(av::transient_coa_lumped_detailed(design, rates(), grid, wave));
   }
 }
 BENCHMARK(BM_LumpedTransientK50);

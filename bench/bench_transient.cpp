@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <vector>
 
 #include "patchsec/avail/transient_coa.hpp"
@@ -191,11 +192,11 @@ void BM_SessionEvaluateTransient(benchmark::State& state) {
   core::EngineOptions engine;
   engine.horizon_hours = 24.0;
   engine.transient_points = 16;
-  engine.initial_down = {{ent::ServerRole::kApp, 1}};
   const core::Session session(core::Scenario::paper_case_study().with_engine(engine));
+  const std::map<ent::ServerRole, unsigned> one_app{{ent::ServerRole::kApp, 1}};
   (void)session.aggregated_rates();  // pre-warm the lower layer
   for (auto _ : state) {
-    benchmark::DoNotOptimize(session.evaluate_transient(ent::example_network_design()));
+    benchmark::DoNotOptimize(session.evaluate_transient(ent::example_network_design(), one_app));
   }
 }
 BENCHMARK(BM_SessionEvaluateTransient);

@@ -21,6 +21,7 @@
 #include <fstream>
 #include <functional>
 #include <iomanip>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -401,11 +402,12 @@ int main(int argc, char** argv) {
     core::EngineOptions engine;
     engine.horizon_hours = 24.0;
     engine.transient_points = 16;
-    engine.initial_down = {{ent::ServerRole::kApp, 1}};
+    const std::map<ent::ServerRole, unsigned> one_app{{ent::ServerRole::kApp, 1}};
     const core::Session session(core::Scenario::paper_case_study().with_engine(engine));
     (void)session.aggregated_rates();
-    results.push_back(run_bench("transient_session_paper", reps, [&session]() -> Sample {
-      const core::EvalReport report = session.evaluate_transient(ent::example_network_design());
+    results.push_back(run_bench("transient_session_paper", reps, [&session, &one_app]() -> Sample {
+      const core::EvalReport report =
+          session.evaluate_transient(ent::example_network_design(), one_app);
       Sample s;
       s.tangible_states = report.availability_diagnostics.tangible_states;
       s.ctmc_transitions = report.availability_diagnostics.transitions;
@@ -418,7 +420,7 @@ int main(int argc, char** argv) {
         av::build_network_srn(ent::example_network_design(), session.aggregated_rates());
     const sm::SrnSimulator simulator(net.model);
     const pt::RewardFunction reward = net.coa_reward();
-    const pt::Marking wave_start = av::patch_window_marking(net, engine.initial_down);
+    const pt::Marking wave_start = av::patch_window_marking(net, one_app);
     const std::vector<double> sim_grid = engine.transient_grid();
     sm::SimulationOptions sim_options;
     sim_options.seed = 20170626;
@@ -497,10 +499,8 @@ int main(int argc, char** argv) {
     for (int j = 1; j <= 16; ++j) lumped_grid.push_back(24.0 * j / 16.0);
     results.push_back(
         run_bench("lumped_k50_transient", reps, [&rates, &k50, &wave, &lumped_grid]() -> Sample {
-          av::TransientCoaOptions options;
-          options.initial_down = wave;
           const av::CoaCurveEvaluation eval =
-              av::transient_coa_lumped_detailed(k50, rates, lumped_grid, options);
+              av::transient_coa_lumped_detailed(k50, rates, lumped_grid, wave);
           Sample s;
           s.tangible_states = eval.diagnostics.tangible_states;
           s.ctmc_transitions = eval.diagnostics.transitions;

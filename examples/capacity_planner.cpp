@@ -58,10 +58,10 @@ int main() {
 
   // Patch-day dip of the recommended design when one app server patches.
   const std::map<ent::ServerRole, unsigned> one_app{{ent::ServerRole::kApp, 1}};
-  const auto curve = av::transient_coa_curve(recommended->design, session.aggregated_rates(),
-                                             one_app, {0.0, 0.5, 1.0, 2.0, 4.0});
+  const av::CoaCurveEvaluation dip = av::transient_coa_detailed(
+      recommended->design, session.aggregated_rates(), {0.0, 0.5, 1.0, 2.0, 4.0}, one_app);
   std::printf("Patch-day capacity (one app server in its window):\n");
-  for (const auto& p : curve) std::printf("  t=%4.1f h  COA=%.4f\n", p.hours, p.coa);
+  for (const auto& p : dip.curve) std::printf("  t=%4.1f h  COA=%.4f\n", p.hours, p.coa);
 
   // Which server should be patched first?  Risk-reduction ranking on the
   // before-patch HARM.

@@ -20,17 +20,28 @@
 //    "source": "solve", "queue_wait_ms": 0.011, "solve_ms": 2.41,
 //    "batch_width": 1, "key": "0x9a..."}
 //
+// A request that fails replies {"id": ..., "ok": false, "error": "..."} in
+// its submit-order slot; the id is echoed whenever the line parsed as an
+// object carrying one.
+//
 // `--demo` feeds the daemon a small scripted request mix instead of stdin
-// (the CI smoke mode — exercises solve, cache hit and transient batching).
+// (the CI smoke mode — exercises solve, cache hit, transient batching and
+// error replies) and exits nonzero unless every emitted line parses as JSON
+// and the reply ids come back in submit order.
 
 #include <cctype>
+#include <cmath>
+#include <cstdio>
 #include <cstdint>
 #include <deque>
+#include <exception>
+#include <future>
 #include <iostream>
 #include <map>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "patchsec/enterprise/design.hpp"
@@ -140,6 +151,7 @@ class JsonParser {
           case '"': c = '"'; break;
           case '\\': c = '\\'; break;
           case '/': c = '/'; break;
+          case 'u': c = ascii_escape(); break;
           default: throw std::runtime_error("unsupported escape");
         }
       }
@@ -147,6 +159,19 @@ class JsonParser {
     }
     expect('"');
     return v;
+  }
+  // The four hex digits after "\u"; only ASCII code points are supported
+  // (json_escape emits \u only for control characters).
+  char ascii_escape() {
+    if (pos_ + 4 > text_.size()) throw std::runtime_error("unterminated escape");
+    const std::string hex(text_.substr(pos_, 4));
+    pos_ += 4;
+    if (hex.find_first_not_of("0123456789abcdefABCDEF") != std::string::npos) {
+      throw std::runtime_error("bad \\u escape");
+    }
+    const unsigned long code = std::stoul(hex, nullptr, 16);
+    if (code >= 0x80) throw std::runtime_error("unsupported escape");
+    return static_cast<char>(code);
   }
   JsonValue boolean() {
     JsonValue v;
@@ -188,6 +213,14 @@ class JsonParser {
 };
 
 // --- request decoding -------------------------------------------------------
+
+// The "id" of a parsed line when it is a number a long long can hold.
+std::optional<long long> id_of(const JsonValue& json) {
+  const JsonValue* id = json.find("id");
+  if (id == nullptr || id->type != JsonValue::Type::kNumber) return std::nullopt;
+  if (!(std::abs(id->number) < 9e18)) return std::nullopt;
+  return static_cast<long long>(id->number);
+}
 
 std::optional<enterprise::ServerRole> role_from_name(const std::string& name) {
   for (unsigned i = 0; i < enterprise::kRoleCount; ++i) {
@@ -232,6 +265,35 @@ service::EvalRequest decode_request(const JsonValue& json) {
 
 // --- reply / stats emission -------------------------------------------------
 
+// `text` as the body of a JSON string literal.
+std::string json_escape(std::string_view text) {
+  std::string out;
+  out.reserve(text.size());
+  for (const char c : text) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(c));
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
+std::string error_line(std::optional<long long> id, std::string_view message) {
+  std::string out = "{";
+  if (id) out += "\"id\": " + std::to_string(*id) + ", ";
+  return out + "\"ok\": false, \"error\": \"" + json_escape(message) + "\"}";
+}
+
 std::string reply_line(long long id, const service::ServiceReply& reply) {
   std::ostringstream out;
   out.precision(12);
@@ -260,21 +322,31 @@ std::string stats_line(const service::ServiceStats& stats) {
   return out.str();
 }
 
-int run(std::istream& in, bool echo_input) {
+// A reply that fails with `message` once it reaches the front of the queue.
+std::future<service::ServiceReply> failed_reply(const std::string& message) {
+  std::promise<service::ServiceReply> promise;
+  promise.set_exception(std::make_exception_ptr(std::runtime_error(message)));
+  return promise.get_future();
+}
+
+int run(std::istream& in, std::ostream& out, bool echo_input) {
   service::ServiceOptions options;
   options.workers = 2;
   service::EvalService daemon(core::Scenario::paper_case_study(), options);
 
-  std::deque<std::pair<long long, std::future<service::ServiceReply>>> pending;
+  // Replies and errors alike leave in submit order; an error echoes the id
+  // of its line when the line parsed as an object carrying one.
+  std::deque<std::pair<std::optional<long long>, std::future<service::ServiceReply>>> pending;
   const auto drain = [&](bool all) {
     while (!pending.empty() &&
            (all || pending.front().second.wait_for(std::chrono::seconds(0)) ==
                        std::future_status::ready)) {
       auto& [id, future] = pending.front();
       try {
-        std::cout << reply_line(id, future.get()) << '\n';
+        const service::ServiceReply reply = future.get();
+        out << reply_line(*id, reply) << '\n';
       } catch (const std::exception& e) {
-        std::cout << "{\"id\": " << id << ", \"ok\": false, \"error\": \"" << e.what() << "\"}\n";
+        out << error_line(id, e.what()) << '\n';
       }
       pending.pop_front();
     }
@@ -284,47 +356,87 @@ int run(std::istream& in, bool echo_input) {
   long long next_id = 0;
   while (std::getline(in, line)) {
     if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    if (echo_input) std::cout << "> " << line << '\n';
+    if (echo_input) out << "> " << line << '\n';
+    std::optional<long long> request_id;
     try {
       const JsonValue json = JsonParser(line).parse();
+      request_id = id_of(json);
       if (const JsonValue* cmd = json.find("cmd")) {
         drain(true);
         if (cmd->string == "stats") {
-          std::cout << stats_line(daemon.stats()) << '\n';
+          out << stats_line(daemon.stats()) << '\n';
           continue;
         }
         if (cmd->string == "shutdown") break;
         throw std::runtime_error("unknown cmd: " + cmd->string);
       }
-      const JsonValue* id = json.find("id");
-      const long long request_id = id ? static_cast<long long>(id->number) : ++next_id;
-      pending.emplace_back(request_id, daemon.submit(decode_request(json)));
+      service::EvalRequest request = decode_request(json);
+      if (!request_id) request_id = ++next_id;
+      pending.emplace_back(request_id, daemon.submit(std::move(request)));
     } catch (const std::exception& e) {
-      std::cout << "{\"ok\": false, \"error\": \"" << e.what() << "\"}\n";
+      pending.emplace_back(request_id, failed_reply(e.what()));
     }
     drain(false);  // emit whatever has completed, in submit order
   }
   drain(true);
   daemon.shutdown();
-  std::cout << stats_line(daemon.stats()) << '\n';
+  out << stats_line(daemon.stats()) << '\n';
   return 0;
+}
+
+// Checks a --demo transcript: every emitted line must parse as JSON, and the
+// reply ids must be the script's request ids, each once, in submit order.
+bool transcript_is_valid(const std::string& script, const std::string& transcript) {
+  std::vector<long long> submitted;
+  std::istringstream requests(script);
+  std::string line;
+  while (std::getline(requests, line)) {
+    const JsonValue json = JsonParser(line).parse();
+    if (const std::optional<long long> id = id_of(json)) submitted.push_back(*id);
+  }
+  std::vector<long long> replied;
+  std::istringstream replies(transcript);
+  while (std::getline(replies, line)) {
+    if (line.rfind("> ", 0) == 0) continue;  // echoed input
+    try {
+      const JsonValue json = JsonParser(line).parse();
+      if (const std::optional<long long> id = id_of(json)) replied.push_back(*id);
+    } catch (const std::exception& e) {
+      std::cerr << "demo: emitted line is not JSON (" << e.what() << "): " << line << '\n';
+      return false;
+    }
+  }
+  if (replied != submitted) {
+    std::cerr << "demo: reply ids are missing, duplicated or out of submit order\n";
+    return false;
+  }
+  return true;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   const bool demo = argc > 1 && std::string_view(argv[1]) == "--demo";
-  if (!demo) return run(std::cin, /*echo_input=*/false);
+  if (!demo) return run(std::cin, std::cout, /*echo_input=*/false);
 
   // Scripted smoke mix: a solve, an exact repeat (cache hit), a second
-  // design, a batch of transient waves sharing one structure, and stats.
-  std::istringstream script(R"({"id": 1, "kind": "steady", "design": [1, 2, 2, 1]}
+  // design, a batch of transient waves sharing one structure, a slower solve
+  // followed by two bad requests (whose errors must still leave in submit
+  // order, carry their ids and stay valid JSON), and stats.
+  const std::string script = R"({"id": 1, "kind": "steady", "design": [1, 2, 2, 1]}
 {"id": 2, "kind": "steady", "design": [1, 2, 2, 1]}
 {"id": 3, "kind": "steady", "design": [1, 1, 1, 1], "cadence": 360}
 {"id": 4, "kind": "transient", "design": [1, 2, 2, 1], "wave": {"WEB": 1}}
 {"id": 5, "kind": "transient", "design": [1, 2, 2, 1], "wave": {"DB": 1}}
+{"id": 6, "kind": "steady", "design": [3, 3, 3, 3]}
+{"id": 7, "kind": "transient", "design": [1, 2, 2, 1], "wave": {"W\"EB": 1}}
+{"id": 8, "kind": "steady", "design": [1, 2, 2]}
 {"cmd": "stats"}
 {"cmd": "shutdown"}
-)");
-  return run(script, /*echo_input=*/true);
+)";
+  std::istringstream in(script);
+  std::ostringstream transcript;
+  const int status = run(in, transcript, /*echo_input=*/true);
+  std::cout << transcript.str();
+  return status == 0 && transcript_is_valid(script, transcript.str()) ? 0 : 1;
 }

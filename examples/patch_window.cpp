@@ -10,6 +10,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 
 #include "patchsec/core/session.hpp"
 #include "patchsec/enterprise/network.hpp"
@@ -34,10 +35,10 @@ int main(int argc, char** argv) {
   core::EngineOptions engine;
   engine.time_points = {0.0,           horizon / 12.0,      horizon / 6.0, horizon / 3.0,
                         horizon / 2.0, horizon * 2.0 / 3.0, horizon};
-  engine.initial_down = {{ent::ServerRole::kDns, 1},
-                         {ent::ServerRole::kWeb, 1},
-                         {ent::ServerRole::kApp, 1},
-                         {ent::ServerRole::kDb, 1}};
+  const std::map<ent::ServerRole, unsigned> wave{{ent::ServerRole::kDns, 1},
+                                                 {ent::ServerRole::kWeb, 1},
+                                                 {ent::ServerRole::kApp, 1},
+                                                 {ent::ServerRole::kDb, 1}};
   const core::Session session(core::Scenario::paper_case_study().with_engine(engine));
 
   std::printf("COA(t) after a patch wave (one server per tier down at t=0)\n\n");
@@ -46,7 +47,7 @@ int main(int argc, char** argv) {
   std::printf(" %10s %9s\n", "avg COA", "lost s-h");
 
   for (const ent::RedundancyDesign& design : session.scenario().designs()) {
-    const core::EvalReport report = session.evaluate_transient(design);
+    const core::EvalReport report = session.evaluate_transient(design, wave);
     const core::EvalReport steady = session.evaluate(design);
     std::printf("%-28s", design.name().c_str());
     for (double coa : report.transient.coa) std::printf(" %8.4f", coa);

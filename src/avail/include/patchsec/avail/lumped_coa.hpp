@@ -52,12 +52,14 @@ struct LumpedNetworkModel {
 
 /// Transient COA curve by product form — the lumped counterpart of
 /// transient_coa_detailed.  Each tier's distribution is advanced by its own
-/// uniformization from the patch-window marking; the accumulated COA
-/// integrates the product curve by Gauss-Legendre panels (see
+/// uniformization from the patch-window marking of `wave`; the accumulated
+/// COA integrates the product curve by Gauss-Legendre panels (see
 /// petri::FactoredAnalyzer::reward_curve).
 [[nodiscard]] CoaCurveEvaluation transient_coa_lumped_detailed(
     const enterprise::RedundancyDesign& design,
     const std::map<enterprise::ServerRole, AggregatedRates>& rates,
-    const std::vector<double>& time_points_hours, const TransientCoaOptions& options = {});
+    const std::vector<double>& time_points_hours,
+    const std::map<enterprise::ServerRole, unsigned>& wave,
+    const TransientCoaOptions& options = {});
 
 }  // namespace patchsec::avail

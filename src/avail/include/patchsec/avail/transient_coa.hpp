@@ -25,12 +25,9 @@ struct CoaPoint {
   double coa = 0.0;
 };
 
-/// Inputs of one transient COA evaluation beyond the grid itself.
+/// Solver configuration of one transient COA evaluation (the grid and the
+/// patch wave are per-call arguments).
 struct TransientCoaOptions {
-  /// Per role, how many servers start the window down for patching (clamped
-  /// to the tier size; roles not deployed are ignored).  Empty = the all-up
-  /// initial marking.
-  std::map<enterprise::ServerRole, unsigned> initial_down;
   /// Uniformization truncation policy.
   ctmc::TransientOptions uniformization;
   /// Reachability-graph limits for the upper-layer exploration.
@@ -54,15 +51,19 @@ struct CoaCurveEvaluation {
 };
 
 /// COA(t) at every grid point (ascending, non-negative, hours) for a design,
-/// from per-role aggregated rates.  A non-null `workspace` reuses the
-/// caller's ctmc::TransientSolver: a second curve on the same design+rates
-/// skips the uniformized-matrix rebuild (core::Session passes one per worker
-/// thread).  Throws std::invalid_argument on an empty or descending grid.
+/// from per-role aggregated rates, starting from the patch window `wave`
+/// describes: per role, how many servers start the window down for patching
+/// (clamped to the tier size; roles not deployed are ignored; empty = all
+/// up).  A non-null `workspace` reuses the caller's ctmc::TransientSolver: a
+/// second curve on the same design+rates skips the uniformized-matrix
+/// rebuild (core::Session passes one per worker thread).  Throws
+/// std::invalid_argument on an empty, negative or descending grid.
 [[nodiscard]] CoaCurveEvaluation transient_coa_detailed(
     const enterprise::RedundancyDesign& design,
     const std::map<enterprise::ServerRole, AggregatedRates>& rates,
-    const std::vector<double>& time_points_hours, const TransientCoaOptions& options = {},
-    ctmc::TransientSolver* workspace = nullptr);
+    const std::vector<double>& time_points_hours,
+    const std::map<enterprise::ServerRole, unsigned>& wave,
+    const TransientCoaOptions& options = {}, ctmc::TransientSolver* workspace = nullptr);
 
 /// Batched transient COA: evaluate the SAME design/rates/grid from B
 /// different patch-wave initial markings in ONE panel solve — the network
@@ -72,11 +73,13 @@ struct CoaCurveEvaluation {
 /// design-sweep shape: COA dip curves for a whole patch campaign's wave
 /// plan in a single pass.
 ///
-/// Returns one CoaCurveEvaluation per wave, ordered like `waves`.
-/// `options.initial_down` is ignored (the waves replace it); each result's
-/// `diagnostics`/`transient` describe the SHARED batch solve (matvec_count
-/// counts sweeps; transient.rhs_count records B), so summing them across
-/// results would double-count.  Throws like transient_coa_detailed, plus
+/// Returns one CoaCurveEvaluation per wave, ordered like `waves`.  Each
+/// result's `diagnostics`/`transient` describe the SHARED batch solve
+/// (matvec_count counts sweeps; transient.rhs_count records B), so summing
+/// them across results would double-count.  The panel runs even for one
+/// wave, so every column is bit-identical to the same column of a wider
+/// batch; transient_coa_detailed's single-vector route may differ from it
+/// in the last ulp.  Throws like transient_coa_detailed, plus
 /// std::invalid_argument on an empty wave list.
 [[nodiscard]] std::vector<CoaCurveEvaluation> transient_coa_batch(
     const enterprise::RedundancyDesign& design,
@@ -85,30 +88,11 @@ struct CoaCurveEvaluation {
     const std::vector<std::map<enterprise::ServerRole, unsigned>>& waves,
     const TransientCoaOptions& options = {}, ctmc::TransientSolver* workspace = nullptr);
 
-/// The patch-window entry marking of `net`: per role, `initial_down` servers
+/// The patch-window entry marking of `net`: per role, `wave` servers
 /// (clamped to the tier size) moved from up to down.  Shared by the analytic
 /// path above and the simulation backend (which must start its replications
 /// from the same marking for the differential cross-check to be meaningful).
 [[nodiscard]] petri::Marking patch_window_marking(
-    const NetworkSrn& net, const std::map<enterprise::ServerRole, unsigned>& initial_down);
-
-/// Expected COA at the given time points, starting from a marking where
-/// `initial_down` servers of each role are down for patching (clamped to the
-/// tier size).  Time 0 reflects the initial dip; as t grows the curve
-/// approaches the steady-state COA.
-[[nodiscard]] std::vector<CoaPoint> transient_coa_curve(
-    const enterprise::RedundancyDesign& design,
-    const std::map<enterprise::ServerRole, AggregatedRates>& rates,
-    const std::map<enterprise::ServerRole, unsigned>& initial_down,
-    const std::vector<double>& time_points_hours);
-
-/// Expected accumulated capacity shortfall (integral of steady-COA minus
-/// COA(t)) over [0, horizon] after the patch event — "lost server-fraction
-/// hours" of one patch wave.
-[[nodiscard]] double patch_dip_shortfall(
-    const enterprise::RedundancyDesign& design,
-    const std::map<enterprise::ServerRole, AggregatedRates>& rates,
-    const std::map<enterprise::ServerRole, unsigned>& initial_down, double horizon_hours,
-    std::size_t steps = 128);
+    const NetworkSrn& net, const std::map<enterprise::ServerRole, unsigned>& wave);
 
 }  // namespace patchsec::avail

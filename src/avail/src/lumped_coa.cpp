@@ -55,7 +55,8 @@ CoaEvaluation capacity_oriented_availability_lumped_detailed(
 CoaCurveEvaluation transient_coa_lumped_detailed(
     const enterprise::RedundancyDesign& design,
     const std::map<enterprise::ServerRole, AggregatedRates>& rates,
-    const std::vector<double>& time_points_hours, const TransientCoaOptions& options) {
+    const std::vector<double>& time_points_hours,
+    const std::map<enterprise::ServerRole, unsigned>& wave, const TransientCoaOptions& options) {
   if (time_points_hours.empty()) {
     throw std::invalid_argument("transient_coa_lumped: no time points");
   }
@@ -66,7 +67,7 @@ CoaCurveEvaluation transient_coa_lumped_detailed(
   analyzer_options.reachability = options.reachability;
   const petri::FactoredAnalyzer analyzer(
       lumped.net.model, lumped.split, analyzer_options,
-      patch_window_marking(lumped.net, options.initial_down));
+      patch_window_marking(lumped.net, wave));
 
   CoaCurveEvaluation result;
   std::vector<double> values;

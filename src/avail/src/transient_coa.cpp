@@ -10,12 +10,63 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+// The upper-layer model a transient evaluation runs on: the network SRN, its
+// reachability graph and the COA reward of every tangible state.
+struct TransientModel {
+  NetworkSrn net;
+  petri::ReachabilityGraph graph;
+  std::vector<double> rewards;
+
+  TransientModel(const enterprise::RedundancyDesign& design,
+                 const std::map<enterprise::ServerRole, AggregatedRates>& rates,
+                 const petri::ReachabilityOptions& reachability)
+      : net(build_network_srn(design, rates)),
+        graph(petri::build_reachability_graph(net.model, reachability)) {
+    const petri::RewardFunction reward = net.coa_reward();
+    rewards.reserve(graph.tangible_count());
+    for (const petri::Marking& m : graph.tangible_markings) rewards.push_back(reward(m));
+  }
+
+  // Point mass on the patch-window entry marking of `wave`.
+  [[nodiscard]] std::vector<double> initial(
+      const std::map<enterprise::ServerRole, unsigned>& wave) const {
+    std::vector<double> out(graph.tangible_count(), 0.0);
+    out[graph.index_of(patch_window_marking(net, wave))] = 1.0;
+    return out;
+  }
+};
+
+// One evaluation's curve plus the diagnostics of the solve behind it.
+CoaCurveEvaluation curve_evaluation(const std::vector<double>& time_points_hours,
+                                    const std::vector<double>& values, double accumulated,
+                                    const petri::ReachabilityGraph& graph,
+                                    const ctmc::TransientSolver& solver, double wall) {
+  CoaCurveEvaluation result;
+  result.accumulated_coa_hours = accumulated;
+  result.curve.reserve(values.size());
+  for (std::size_t j = 0; j < values.size(); ++j) {
+    result.curve.push_back({time_points_hours[j], values[j]});
+  }
+  result.transient = solver.diagnostics();
+  result.diagnostics.tangible_states = graph.tangible_count();
+  result.diagnostics.vanishing_markings = graph.vanishing_markings_seen;
+  result.diagnostics.transitions = graph.chain.transitions().size();
+  result.diagnostics.solver_iterations = result.transient.matvec_count;
+  result.diagnostics.converged = true;  // a finite sum, not a fixpoint iteration
+  result.diagnostics.wall_time_seconds = wall;
+  return result;
+}
+
+double seconds_since(Clock::time_point start) {
+  return std::chrono::duration<double>(Clock::now() - start).count();
+}
+
 }  // namespace
 
-petri::Marking patch_window_marking(
-    const NetworkSrn& net, const std::map<enterprise::ServerRole, unsigned>& initial_down) {
+petri::Marking patch_window_marking(const NetworkSrn& net,
+                                    const std::map<enterprise::ServerRole, unsigned>& wave) {
   petri::Marking start = net.model.initial_marking();
-  for (const auto& [role, down] : initial_down) {
+  for (const auto& [role, down] : wave) {
     const auto up_it = net.up_places.find(role);
     if (up_it == net.up_places.end()) continue;  // role not deployed
     const petri::TokenCount capped = std::min<petri::TokenCount>(down, start[up_it->second]);
@@ -28,47 +79,25 @@ petri::Marking patch_window_marking(
 CoaCurveEvaluation transient_coa_detailed(
     const enterprise::RedundancyDesign& design,
     const std::map<enterprise::ServerRole, AggregatedRates>& rates,
-    const std::vector<double>& time_points_hours, const TransientCoaOptions& options,
+    const std::vector<double>& time_points_hours,
+    const std::map<enterprise::ServerRole, unsigned>& wave, const TransientCoaOptions& options,
     ctmc::TransientSolver* workspace) {
   if (time_points_hours.empty()) {
     throw std::invalid_argument("transient_coa: no time points");
   }
   const auto start_time = Clock::now();
-
-  const NetworkSrn net = build_network_srn(design, rates);
-  const petri::ReachabilityGraph graph =
-      petri::build_reachability_graph(net.model, options.reachability);
-
-  const petri::RewardFunction reward = net.coa_reward();
-  std::vector<double> rewards;
-  rewards.reserve(graph.tangible_count());
-  for (const petri::Marking& m : graph.tangible_markings) rewards.push_back(reward(m));
-
-  std::vector<double> initial(graph.tangible_count(), 0.0);
-  initial[graph.index_of(patch_window_marking(net, options.initial_down))] = 1.0;
+  const TransientModel model(design, rates, options.reachability);
 
   ctmc::TransientSolver local;
   ctmc::TransientSolver& solver = workspace != nullptr ? *workspace : local;
   solver.set_options(options.uniformization);
-  solver.prepare(graph.chain);
+  solver.prepare(model.graph.chain);
 
   std::vector<double> values;
-  CoaCurveEvaluation result;
-  result.accumulated_coa_hours =
-      solver.reward_curve(initial, rewards, time_points_hours, values);
-  result.curve.reserve(values.size());
-  for (std::size_t j = 0; j < values.size(); ++j) {
-    result.curve.push_back({time_points_hours[j], values[j]});
-  }
-  result.transient = solver.diagnostics();
-  result.diagnostics.tangible_states = graph.tangible_count();
-  result.diagnostics.vanishing_markings = graph.vanishing_markings_seen;
-  result.diagnostics.transitions = graph.chain.transitions().size();
-  result.diagnostics.solver_iterations = result.transient.matvec_count;
-  result.diagnostics.converged = true;  // a finite sum, not a fixpoint iteration
-  result.diagnostics.wall_time_seconds =
-      std::chrono::duration<double>(Clock::now() - start_time).count();
-  return result;
+  const double accumulated =
+      solver.reward_curve(model.initial(wave), model.rewards, time_points_hours, values);
+  return curve_evaluation(time_points_hours, values, accumulated, model.graph, solver,
+                          seconds_since(start_time));
 }
 
 std::vector<CoaCurveEvaluation> transient_coa_batch(
@@ -85,103 +114,29 @@ std::vector<CoaCurveEvaluation> transient_coa_batch(
 
   // One model build serves the whole batch — this is the point of batching:
   // the per-wave marginal cost is one panel column, not a solve.
-  const NetworkSrn net = build_network_srn(design, rates);
-  const petri::ReachabilityGraph graph =
-      petri::build_reachability_graph(net.model, options.reachability);
-
-  const petri::RewardFunction reward = net.coa_reward();
-  std::vector<double> rewards;
-  rewards.reserve(graph.tangible_count());
-  for (const petri::Marking& m : graph.tangible_markings) rewards.push_back(reward(m));
-
-  std::vector<std::vector<double>> initials(waves.size());
-  for (std::size_t b = 0; b < waves.size(); ++b) {
-    initials[b].assign(graph.tangible_count(), 0.0);
-    initials[b][graph.index_of(patch_window_marking(net, waves[b]))] = 1.0;
-  }
+  const TransientModel model(design, rates, options.reachability);
+  std::vector<std::vector<double>> initials;
+  initials.reserve(waves.size());
+  for (const auto& wave : waves) initials.push_back(model.initial(wave));
 
   ctmc::TransientSolver local;
   ctmc::TransientSolver& solver = workspace != nullptr ? *workspace : local;
   solver.set_options(options.uniformization);
-  solver.prepare(graph.chain);
+  solver.prepare(model.graph.chain);
 
   std::vector<std::vector<double>> curves;
   const std::vector<double> accumulated =
-      solver.reward_curve_multi(initials, rewards, time_points_hours, curves);
+      solver.reward_curve_multi(initials, model.rewards, time_points_hours, curves);
 
-  const double wall = std::chrono::duration<double>(Clock::now() - start_time).count();
-  std::vector<CoaCurveEvaluation> results(waves.size());
+  // Shared-solve diagnostics, replicated per wave (see the header note).
+  const double wall = seconds_since(start_time);
+  std::vector<CoaCurveEvaluation> results;
+  results.reserve(waves.size());
   for (std::size_t b = 0; b < waves.size(); ++b) {
-    CoaCurveEvaluation& result = results[b];
-    result.accumulated_coa_hours = accumulated[b];
-    result.curve.reserve(curves[b].size());
-    for (std::size_t j = 0; j < curves[b].size(); ++j) {
-      result.curve.push_back({time_points_hours[j], curves[b][j]});
-    }
-    // Shared-solve diagnostics, replicated per wave (see the header note).
-    result.transient = solver.diagnostics();
-    result.diagnostics.tangible_states = graph.tangible_count();
-    result.diagnostics.vanishing_markings = graph.vanishing_markings_seen;
-    result.diagnostics.transitions = graph.chain.transitions().size();
-    result.diagnostics.solver_iterations = result.transient.matvec_count;
-    result.diagnostics.converged = true;  // a finite sum, not a fixpoint iteration
-    result.diagnostics.wall_time_seconds = wall;
+    results.push_back(
+        curve_evaluation(time_points_hours, curves[b], accumulated[b], model.graph, solver, wall));
   }
   return results;
-}
-
-std::vector<CoaPoint> transient_coa_curve(
-    const enterprise::RedundancyDesign& design,
-    const std::map<enterprise::ServerRole, AggregatedRates>& rates,
-    const std::map<enterprise::ServerRole, unsigned>& initial_down,
-    const std::vector<double>& time_points_hours) {
-  TransientCoaOptions options;
-  options.initial_down = initial_down;
-  // The historical contract accepts an arbitrary-order grid; the solver
-  // wants it ascending.  Evaluate sorted, then emit in caller order.
-  std::vector<double> sorted = time_points_hours;
-  for (double t : sorted) {
-    if (t < 0.0) throw std::invalid_argument("transient_coa_curve: negative time");
-  }
-  std::sort(sorted.begin(), sorted.end());
-  const CoaCurveEvaluation eval = transient_coa_detailed(design, rates, sorted, options);
-  std::vector<CoaPoint> curve;
-  curve.reserve(time_points_hours.size());
-  for (double t : time_points_hours) {
-    const auto it = std::lower_bound(
-        eval.curve.begin(), eval.curve.end(), t,
-        [](const CoaPoint& p, double hours) { return p.hours < hours; });
-    curve.push_back({t, it->coa});
-  }
-  return curve;
-}
-
-double patch_dip_shortfall(const enterprise::RedundancyDesign& design,
-                           const std::map<enterprise::ServerRole, AggregatedRates>& rates,
-                           const std::map<enterprise::ServerRole, unsigned>& initial_down,
-                           double horizon_hours, std::size_t steps) {
-  if (!(horizon_hours > 0.0)) throw std::invalid_argument("patch_dip_shortfall: horizon");
-  if (steps == 0) throw std::invalid_argument("patch_dip_shortfall: steps must be positive");
-
-  // One model build serves both measures: the steady-state COA comes from
-  // the same chain and reward vector the transient expansion uses.
-  const NetworkSrn net = build_network_srn(design, rates);
-  const petri::ReachabilityGraph graph = petri::build_reachability_graph(net.model);
-  const petri::RewardFunction reward = net.coa_reward();
-  std::vector<double> rewards;
-  rewards.reserve(graph.tangible_count());
-  for (const petri::Marking& m : graph.tangible_markings) rewards.push_back(reward(m));
-  std::vector<double> initial(graph.tangible_count(), 0.0);
-  initial[graph.index_of(patch_window_marking(net, initial_down))] = 1.0;
-
-  ctmc::TransientSolver solver;
-  solver.prepare(graph.chain);
-  const double accumulated = solver.accumulated_reward(initial, rewards, horizon_hours);
-
-  const linalg::SteadyStateResult ss = graph.chain.steady_state();
-  double steady = 0.0;
-  for (std::size_t i = 0; i < rewards.size(); ++i) steady += ss.distribution[i] * rewards[i];
-  return steady * horizon_hours - accumulated;
 }
 
 }  // namespace patchsec::avail

@@ -61,10 +61,9 @@ struct EngineOptions {
   linalg::SteadyStateOptions steady_state;
   /// Reachability-graph limits (tangible-state bound, vanishing depth).
   petri::ReachabilityOptions reachability;
-  /// When true a badly diverged steady-state solve throws (the historical
-  /// Evaluator behaviour); when false — the Session default — the
-  /// best-effort distribution is used and the failure is surfaced through
-  /// EvalReport diagnostics.
+  /// When true a badly diverged steady-state solve throws; when false (the
+  /// default) the best-effort distribution is used and the failure is
+  /// surfaced through EvalReport diagnostics.
   bool throw_on_divergence = false;
   /// Evaluate batch design spaces on multiple threads (the per-design upper
   /// layer is embarrassingly parallel; lower-layer aggregations are memoized
@@ -95,7 +94,7 @@ struct EngineOptions {
   /// affects scheduling only.
   sim::SimulationOptions simulation;
 
-  // --- transient analysis (Session::evaluate_transient) --------------------
+  // --- transient analysis (Session::evaluate_transient[_batch]) ------------
   /// Horizon of the transient window, in hours.  When `time_points` is empty
   /// the evaluated grid is `transient_points` uniform points over
   /// [0, horizon_hours] (t = 0 included: it shows the initial dip).
@@ -105,11 +104,6 @@ struct EngineOptions {
   std::vector<double> time_points;
   /// Size of the derived uniform grid (>= 2).
   std::size_t transient_points = 16;
-  /// Patch-window entry state: per role, how many servers start the window
-  /// down for patching (clamped to the tier size; empty = all up).  Applied
-  /// by BOTH transient backends, so the differential cross-check compares
-  /// like with like.
-  std::map<enterprise::ServerRole, unsigned> initial_down;
   /// Truncation policy of the analytic transient engine (uniformization).
   ctmc::TransientOptions uniformization;
 
@@ -163,7 +157,7 @@ class Scenario {
 
   /// The paper's case study (Tables I/IV specs, the Fig. 2 three-tier
   /// policy, the monthly 720 h schedule and the five Sec. IV candidate
-  /// designs).  Replaces Evaluator::paper_case_study().
+  /// designs).
   [[nodiscard]] static Scenario paper_case_study();
 
   // --- fluent setters ------------------------------------------------------

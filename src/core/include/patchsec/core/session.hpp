@@ -48,7 +48,7 @@ struct SolverWorkspaces {
 };
 
 /// \brief Joint security/availability result for one redundancy design (the
-/// metric payload of the original Evaluator API; EvalReport carries one).
+/// metric payload of an EvalReport).
 struct DesignEvaluation {
   enterprise::RedundancyDesign design;
   harm::SecurityMetrics before_patch;  ///< HARM metrics with all vulnerabilities.
@@ -171,8 +171,8 @@ struct EvalReport {
   /// True iff every verified stage came back with zero findings.  Vacuously
   /// true under VerifyMode::kOff (nothing was verified).
   [[nodiscard]] bool lint_clean() const noexcept;
-  /// The metric payload alone, for APIs speaking the original Evaluator
-  /// vocabulary (decision bounds, economics, report emitters).
+  /// The metric payload alone, for APIs that need no diagnostics (decision
+  /// bounds, economics, report emitters).
   [[nodiscard]] DesignEvaluation metrics() const;
 };
 
@@ -212,29 +212,35 @@ class Session {
       double patch_interval_hours) const;
 
   /// Transient evaluation: coa(t) over the engine's time grid
-  /// (EngineOptions::horizon_hours / time_points), starting from the
-  /// patch-window marking EngineOptions::initial_down describes, at the
+  /// (EngineOptions::horizon_hours / time_points), starting from the patch
+  /// window `wave` describes (per role, how many servers start the window
+  /// down for patching, clamped to the tier size; empty = all up), at the
   /// scenario's first patch cadence.  The lower-layer per-(role, interval)
   /// aggregations are memoized exactly like the steady-state path (both
   /// paths share the cache).  Backend-dispatched like evaluate():
   /// kAnalytic runs uniformization, kSimulation the finite-horizon
   /// replicated estimator; the report's `transient` payload carries the
   /// curve and its `coa` the time-averaged COA over the window.
-  [[nodiscard]] EvalReport evaluate_transient(const enterprise::RedundancyDesign& design) const;
+  [[nodiscard]] EvalReport evaluate_transient(
+      const enterprise::RedundancyDesign& design,
+      const std::map<enterprise::ServerRole, unsigned>& wave) const;
 
   /// Transient evaluation at an explicit patch cadence.
-  [[nodiscard]] EvalReport evaluate_transient(const enterprise::RedundancyDesign& design,
-                                              double patch_interval_hours) const;
+  [[nodiscard]] EvalReport evaluate_transient(
+      const enterprise::RedundancyDesign& design,
+      const std::map<enterprise::ServerRole, unsigned>& wave, double patch_interval_hours) const;
 
-  /// Batched transient evaluation: one report per patch wave (an
-  /// EngineOptions::initial_down-shaped map), ordered like `waves`, each as
-  /// if evaluate_transient had run with that wave as the initial marking —
-  /// at the scenario's first patch cadence.  Under the analytic non-lumped
-  /// backend the whole batch is ONE panel solve (avail::transient_coa_batch:
-  /// one reachability/matrix build, one matrix sweep per uniformization term
-  /// for ALL waves — see each report's transient_diagnostics.rhs_count);
-  /// the simulation and lumped backends evaluate the waves sequentially.
-  /// Throws std::invalid_argument on an empty wave list.
+  /// Batched transient evaluation: one report per patch wave, ordered like
+  /// `waves`, each as if evaluate_transient had run with that wave — at the
+  /// scenario's first patch cadence.  Under the analytic non-lumped backend
+  /// the whole batch is ONE panel solve (avail::transient_coa_batch: one
+  /// reachability/matrix build, one matrix sweep per uniformization term for
+  /// ALL waves — see each report's transient_diagnostics.rhs_count), even
+  /// for a single wave, so a report's curve does not depend on which other
+  /// waves shared its panel; it may differ from evaluate_transient's
+  /// single-vector route in the last ulp.  The simulation and lumped
+  /// backends evaluate the waves sequentially.  Throws
+  /// std::invalid_argument on an empty wave list.
   [[nodiscard]] std::vector<EvalReport> evaluate_transient_batch(
       const enterprise::RedundancyDesign& design,
       const std::vector<std::map<enterprise::ServerRole, unsigned>>& waves) const;
@@ -315,12 +321,12 @@ class Session {
   [[nodiscard]] std::vector<EvalReport> run_batch(
       const std::vector<std::pair<enterprise::RedundancyDesign, double>>& jobs) const;
 
-  /// evaluate_transient with an explicit initial marking (the public
-  /// overloads pass EngineOptions::initial_down; evaluate_transient_batch's
-  /// sequential fallback passes each wave).
-  [[nodiscard]] EvalReport evaluate_transient_impl(
-      const enterprise::RedundancyDesign& design, double patch_interval_hours,
-      const std::map<enterprise::ServerRole, unsigned>& initial_down) const;
+  /// A report carrying everything but the availability result: design,
+  /// cadence, HARM pair, backend, verification stages (the upper-layer one
+  /// verified now) and aggregation diagnostics.
+  [[nodiscard]] EvalReport report_shell(const enterprise::RedundancyDesign& design,
+                                        double patch_interval_hours,
+                                        const IntervalAggregation& agg) const;
 
   /// The SolverWorkspaces of the calling thread, created on first use.  Each
   /// (Session, thread) pair owns its own slot, so two Sessions interleaving

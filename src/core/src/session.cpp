@@ -45,6 +45,23 @@ StageVerification verify_network_stage(const enterprise::RedundancyDesign& desig
   return stage;
 }
 
+avail::TransientCoaOptions transient_options(const EngineOptions& engine) {
+  avail::TransientCoaOptions options;
+  options.uniformization = engine.uniformization;
+  options.reachability = engine.reachability;
+  return options;
+}
+
+// The analytic transient payload of one report.
+void fill_transient(EvalReport& report, const avail::CoaCurveEvaluation& eval) {
+  report.transient.coa.reserve(eval.curve.size());
+  for (const avail::CoaPoint& point : eval.curve) report.transient.coa.push_back(point.coa);
+  report.transient.accumulated_coa_hours = eval.accumulated_coa_hours;
+  report.coa = report.transient.interval_coa();
+  report.availability_diagnostics = eval.diagnostics;
+  report.transient_diagnostics = eval.transient;
+}
+
 }  // namespace
 
 bool EvalReport::converged() const noexcept {
@@ -293,6 +310,24 @@ const Session::SecurityMetricsPair& Session::security_for(
   return harm_cache_.try_emplace(design.counts, std::move(metrics)).first->second;
 }
 
+EvalReport Session::report_shell(const enterprise::RedundancyDesign& design,
+                                 double patch_interval_hours,
+                                 const IntervalAggregation& agg) const {
+  const SecurityMetricsPair& security = security_for(design);
+  EvalReport report;
+  report.design = design;
+  report.patch_interval_hours = patch_interval_hours;
+  report.before_patch = security.before_patch;
+  report.after_patch = security.after_patch;
+  report.backend = scenario_.engine().backend;
+  if (scenario_.engine().verify != VerifyMode::kOff) {
+    report.verification = agg.verification;
+    report.verification.push_back(verify_network_stage(design, agg.rates, scenario_.engine()));
+  }
+  report.aggregation_diagnostics = agg.diagnostics;
+  return report;
+}
+
 EvalReport Session::evaluate(const enterprise::RedundancyDesign& design) const {
   return evaluate(design, scenario_.patch_interval_hours());
 }
@@ -301,19 +336,7 @@ EvalReport Session::evaluate(const enterprise::RedundancyDesign& design,
                              double patch_interval_hours) const {
   const auto start = Clock::now();
   const IntervalAggregation& agg = aggregation_for(patch_interval_hours);
-  const SecurityMetricsPair& security = security_for(design);
-
-  EvalReport report;
-  report.design = design;
-  report.patch_interval_hours = patch_interval_hours;
-  report.before_patch = security.before_patch;
-  report.after_patch = security.after_patch;
-  report.backend = scenario_.engine().backend;
-
-  if (scenario_.engine().verify != VerifyMode::kOff) {
-    report.verification = agg.verification;
-    report.verification.push_back(verify_network_stage(design, agg.rates, scenario_.engine()));
-  }
+  EvalReport report = report_shell(design, patch_interval_hours, agg);
 
   if (report.backend == EvalBackend::kSimulation) {
     const avail::NetworkSrn net = avail::build_network_srn(design, agg.rates);
@@ -344,45 +367,29 @@ EvalReport Session::evaluate(const enterprise::RedundancyDesign& design,
     report.coa = coa.coa;
     report.availability_diagnostics = coa.diagnostics;
   }
-  report.aggregation_diagnostics = agg.diagnostics;
   report.wall_time_seconds = seconds_since(start);
   return report;
 }
 
-EvalReport Session::evaluate_transient(const enterprise::RedundancyDesign& design) const {
-  return evaluate_transient(design, scenario_.patch_interval_hours());
+EvalReport Session::evaluate_transient(const enterprise::RedundancyDesign& design,
+                                       const std::map<enterprise::ServerRole, unsigned>& wave)
+    const {
+  return evaluate_transient(design, wave, scenario_.patch_interval_hours());
 }
 
 EvalReport Session::evaluate_transient(const enterprise::RedundancyDesign& design,
+                                       const std::map<enterprise::ServerRole, unsigned>& wave,
                                        double patch_interval_hours) const {
-  return evaluate_transient_impl(design, patch_interval_hours, scenario_.engine().initial_down);
-}
-
-EvalReport Session::evaluate_transient_impl(
-    const enterprise::RedundancyDesign& design, double patch_interval_hours,
-    const std::map<enterprise::ServerRole, unsigned>& initial_down) const {
   const auto start = Clock::now();
   const EngineOptions& engine = scenario_.engine();
   const std::vector<double> grid = engine.transient_grid();
   const IntervalAggregation& agg = aggregation_for(patch_interval_hours);
-  const SecurityMetricsPair& security = security_for(design);
-
-  EvalReport report;
-  report.design = design;
-  report.patch_interval_hours = patch_interval_hours;
-  report.before_patch = security.before_patch;
-  report.after_patch = security.after_patch;
-  report.backend = engine.backend;
+  EvalReport report = report_shell(design, patch_interval_hours, agg);
   report.transient.time_points_hours = grid;
-
-  if (engine.verify != VerifyMode::kOff) {
-    report.verification = agg.verification;
-    report.verification.push_back(verify_network_stage(design, agg.rates, engine));
-  }
 
   if (report.backend == EvalBackend::kSimulation) {
     const avail::NetworkSrn net = avail::build_network_srn(design, agg.rates);
-    const petri::Marking window_start = avail::patch_window_marking(net, initial_down);
+    const petri::Marking window_start = avail::patch_window_marking(net, wave);
     const sim::SrnSimulator simulator(net.model);
     // Unlike evaluate(), no engine.parallel override here: transient
     // evaluation is never dispatched by run_batch, so the replication
@@ -397,23 +404,13 @@ EvalReport Session::evaluate_transient_impl(
     report.coa_half_width_95 = est.interval_half_width_95;
     report.simulation_diagnostics = est.diagnostics;
   } else {
-    avail::TransientCoaOptions options;
-    options.initial_down = initial_down;
-    options.uniformization = engine.uniformization;
-    options.reachability = engine.reachability;
-    const avail::CoaCurveEvaluation eval =
-        engine.lumping
-            ? avail::transient_coa_lumped_detailed(design, agg.rates, grid, options)
-            : avail::transient_coa_detailed(design, agg.rates, grid, options,
-                                            &workspaces_for_this_thread().transient);
-    report.transient.coa.reserve(eval.curve.size());
-    for (const avail::CoaPoint& point : eval.curve) report.transient.coa.push_back(point.coa);
-    report.transient.accumulated_coa_hours = eval.accumulated_coa_hours;
-    report.coa = report.transient.interval_coa();
-    report.availability_diagnostics = eval.diagnostics;
-    report.transient_diagnostics = eval.transient;
+    const avail::TransientCoaOptions options = transient_options(engine);
+    fill_transient(
+        report, engine.lumping
+                    ? avail::transient_coa_lumped_detailed(design, agg.rates, grid, wave, options)
+                    : avail::transient_coa_detailed(design, agg.rates, grid, wave, options,
+                                                    &workspaces_for_this_thread().transient));
   }
-  report.aggregation_diagnostics = agg.diagnostics;
   report.wall_time_seconds = seconds_since(start);
   return report;
 }
@@ -432,13 +429,13 @@ std::vector<EvalReport> Session::evaluate_transient_batch(
     throw std::invalid_argument("Session::evaluate_transient_batch: no waves");
   }
   const EngineOptions& engine = scenario_.engine();
+  std::vector<EvalReport> reports;
+  reports.reserve(waves.size());
   if (engine.backend == EvalBackend::kSimulation || engine.lumping) {
     // These backends have no panel mode (replications resp. a per-component
     // quotient pipeline); the batch degenerates to the sequential contract.
-    std::vector<EvalReport> reports;
-    reports.reserve(waves.size());
     for (const auto& wave : waves) {
-      reports.push_back(evaluate_transient_impl(design, patch_interval_hours, wave));
+      reports.push_back(evaluate_transient(design, wave, patch_interval_hours));
     }
     return reports;
   }
@@ -446,50 +443,17 @@ std::vector<EvalReport> Session::evaluate_transient_batch(
   const auto start = Clock::now();
   const std::vector<double> grid = engine.transient_grid();
   const IntervalAggregation& agg = aggregation_for(patch_interval_hours);
-  const SecurityMetricsPair& security = security_for(design);
-
-  avail::TransientCoaOptions options;
-  options.uniformization = engine.uniformization;
-  options.reachability = engine.reachability;
-  if (engine.parallel && options.uniformization.reduction_threads <= 1) {
-    // The batch solve is one job, so run_batch's design fan-out never covers
-    // it — give the panel reductions the engine's thread budget instead.
-    const unsigned hw = std::thread::hardware_concurrency();
-    options.uniformization.reduction_threads =
-        engine.threads != 0 ? engine.threads : (hw != 0 ? hw : 1);
-  }
-  const std::vector<avail::CoaCurveEvaluation> evals = avail::transient_coa_batch(
-      design, agg.rates, grid, waves, options, &workspaces_for_this_thread().transient);
-
-  // One shared solve, B report shells around it.  The verification stages
-  // are marking-independent, so every report carries the same set.
-  std::vector<StageVerification> verification;
-  if (engine.verify != VerifyMode::kOff) {
-    verification = agg.verification;
-    verification.push_back(verify_network_stage(design, agg.rates, engine));
-  }
-  const double wall = seconds_since(start);
-
-  std::vector<EvalReport> reports;
-  reports.reserve(waves.size());
+  // One shared solve, B reports around it.  Everything but the curve is
+  // wave-independent, so every report starts from the same shell.
+  EvalReport shell = report_shell(design, patch_interval_hours, agg);
+  shell.transient.time_points_hours = grid;
+  const std::vector<avail::CoaCurveEvaluation> evals =
+      avail::transient_coa_batch(design, agg.rates, grid, waves, transient_options(engine),
+                                 &workspaces_for_this_thread().transient);
+  shell.wall_time_seconds = seconds_since(start);
   for (const avail::CoaCurveEvaluation& eval : evals) {
-    EvalReport report;
-    report.design = design;
-    report.patch_interval_hours = patch_interval_hours;
-    report.before_patch = security.before_patch;
-    report.after_patch = security.after_patch;
-    report.backend = engine.backend;
-    report.verification = verification;
-    report.transient.time_points_hours = grid;
-    report.transient.coa.reserve(eval.curve.size());
-    for (const avail::CoaPoint& point : eval.curve) report.transient.coa.push_back(point.coa);
-    report.transient.accumulated_coa_hours = eval.accumulated_coa_hours;
-    report.coa = report.transient.interval_coa();
-    report.availability_diagnostics = eval.diagnostics;
-    report.transient_diagnostics = eval.transient;
-    report.aggregation_diagnostics = agg.diagnostics;
-    report.wall_time_seconds = wall;
-    reports.push_back(std::move(report));
+    reports.push_back(shell);
+    fill_transient(reports.back(), eval);
   }
   return reports;
 }

@@ -47,8 +47,7 @@
 
 namespace patchsec::ctmc {
 
-/// Truncation policy of the uniformization expansion (shared by the
-/// one-shot helpers in transient.hpp and the solver below).
+/// Truncation policy and inner-loop choice of the uniformization expansion.
 struct TransientOptions {
   double epsilon = 1e-12;             ///< truncation error bound on Poisson mass.
   std::size_t max_terms = 2'000'000;  ///< hard cap on expansion length.
@@ -61,12 +60,6 @@ struct TransientOptions {
               ///< the reference trajectory (and the portable worst case).
   };
   Kernel kernel = Kernel::kAuto;
-
-  /// Worker threads for the per-grid-point reward reductions over a panel in
-  /// reward_curve_multi (1 = serial).  Each panel column's dot product is
-  /// computed whole, in fixed state order, by exactly one thread — results
-  /// are bit-identical for every thread count.
-  std::size_t reduction_threads = 1;
 };
 
 /// How the last evaluation went: the uniformization constant, the Fox-Glynn
@@ -180,8 +173,8 @@ class TransientSolver {
   void step_panel(std::vector<double>& panel, std::size_t m, const std::vector<double>& rewards,
                   double dt, double* accumulated);
 
-  /// out[b] = dot(panel column b, rewards), threaded per column when
-  /// options_.reduction_threads > 1 (bit-identical either way).
+  /// out[b] = dot(panel column b, rewards), each column reduced in fixed
+  /// state order.
   void panel_column_dots(const std::vector<double>& panel, std::size_t m,
                          const std::vector<double>& rewards, std::vector<double>& out) const;
 

@@ -1,12 +1,9 @@
 #include "patchsec/ctmc/transient_solver.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <stdexcept>
-#include <system_error>
-#include <thread>
 
 #include "patchsec/linalg/vector_ops.hpp"
 
@@ -309,41 +306,12 @@ void TransientSolver::panel_column_dots(const std::vector<double>& panel, std::s
                                         const std::vector<double>& rewards,
                                         std::vector<double>& out) const {
   out.assign(m, 0.0);
-  const auto column_dot = [&](std::size_t b) {
+  const double* x = panel.data();
+  for (std::size_t b = 0; b < m; ++b) {
     double acc = 0.0;
-    const double* x = panel.data();
     for (std::size_t s = 0; s < rewards.size(); ++s) acc += x[s * m + b] * rewards[s];
     out[b] = acc;
-  };
-  const std::size_t threads =
-      std::min<std::size_t>(std::max<std::size_t>(options_.reduction_threads, 1), m);
-  if (threads <= 1) {
-    for (std::size_t b = 0; b < m; ++b) column_dot(b);
-    return;
   }
-  // core::Session's worker-pool shape: an atomic cursor over the columns,
-  // each column's dot computed whole (fixed state order) by exactly one
-  // thread — bit-identical results for any thread count, and trivially
-  // race-free (disjoint out[b] writes, join before any read).
-  std::atomic<std::size_t> cursor{0};
-  const auto drain = [&] {
-    for (;;) {
-      const std::size_t b = cursor.fetch_add(1, std::memory_order_relaxed);
-      if (b >= m) return;
-      column_dot(b);
-    }
-  };
-  std::vector<std::thread> workers;
-  workers.reserve(threads - 1);
-  for (std::size_t i = 0; i + 1 < threads; ++i) {
-    try {
-      workers.emplace_back(drain);
-    } catch (const std::system_error&) {
-      break;  // thread exhaustion: the inline drain below picks up the rest
-    }
-  }
-  drain();
-  for (std::thread& w : workers) w.join();
 }
 
 std::vector<double> TransientSolver::reward_curve_multi(

@@ -125,13 +125,8 @@ void append_engine_options(HashStream& h, const core::EngineOptions& engine) {
   h.u64(engine.time_points.size());
   for (double t : engine.time_points) h.f64(t);
   h.u64(engine.transient_points);
-  h.u64(engine.initial_down.size());
-  for (const auto& [role, down] : engine.initial_down) {
-    h.u8(static_cast<std::uint8_t>(role));
-    h.u32(down);
-  }
   // Uniformization truncation + kernel selector (kAuto's panel path differs
-  // from kScalar at the ulp level — reduction_threads alone is excluded).
+  // from kScalar at the ulp level).
   h.f64(engine.uniformization.epsilon);
   h.u64(engine.uniformization.max_terms);
   h.u8(static_cast<std::uint8_t>(engine.uniformization.kernel));

@@ -65,12 +65,12 @@ DifferentialCase run_case_transient(const GeneratedScenario& generated,
   analytic_engine.backend = core::EvalBackend::kAnalytic;
   analytic_engine.throw_on_divergence = false;
   analytic_engine.time_points = options.transient_grid;
-  analytic_engine.initial_down = patch_wave(generated.design);
+  const std::map<enterprise::ServerRole, unsigned> wave = patch_wave(generated.design);
   core::Scenario analytic = generated.scenario;
   analytic.with_engine(analytic_engine);
   const core::Session analytic_session(std::move(analytic));
   const core::EvalReport analytic_report =
-      analytic_session.evaluate_transient(generated.design);
+      analytic_session.evaluate_transient(generated.design, wave);
   result.analytic_coa = analytic_report.coa;
   result.analytic_converged = analytic_report.converged();
 
@@ -81,7 +81,7 @@ DifferentialCase run_case_transient(const GeneratedScenario& generated,
   core::Scenario simulated = generated.scenario;
   simulated.with_engine(sim_engine);
   const core::Session sim_session(std::move(simulated));
-  const core::EvalReport sim_report = sim_session.evaluate_transient(generated.design);
+  const core::EvalReport sim_report = sim_session.evaluate_transient(generated.design, wave);
   result.simulated_coa = sim_report.coa;
   result.half_width_95 = sim_report.coa_half_width_95;
 

@@ -10,9 +10,14 @@
 // simulator) actually changed.  Reproduce any miss from its logged seed:
 //
 //   differential_runner --repro <scenario_seed>
+//
+// The CommittedReports tests re-run the three sweeps behind the committed
+// docs/validation reports and fail when a report is stale.
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include "patchsec/testgen/differential_runner.hpp"
@@ -253,4 +258,70 @@ TEST(LumpedDifferential, RunOneReproducesACaseFromItsSeed) {
   EXPECT_DOUBLE_EQ(replay.lumped_coa, original.lumped_coa);
   EXPECT_DOUBLE_EQ(replay.simulated_coa, original.simulated_coa);
   EXPECT_EQ(replay.inside_ci, original.inside_ci);
+}
+
+// ---------------------------------------------------------------------------
+// The committed reports (docs/validation/*.json)
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// The text after `"key": ` in `text` (first occurrence at or after `from`),
+/// up to the next ',' or '}'; empty when absent.
+std::string json_field(const std::string& text, const std::string& key, std::size_t from = 0) {
+  const std::string needle = "\"" + key + "\": ";
+  const std::size_t at = text.find(needle, from);
+  if (at == std::string::npos) return {};
+  const std::size_t begin = at + needle.size();
+  return text.substr(begin, text.find_first_of(",}", begin) - begin);
+}
+
+/// Re-runs the sweep the committed report `file` records (the options its
+/// regeneration command in docs/validation/README.md uses) and checks the
+/// file still matches it: schema version, seed list, verdicts and analytic
+/// COA.  A stale schema or a moved number means the file was not
+/// regenerated with the change that moved it.
+void expect_committed_report_current(const std::string& file, tg::DifferentialOptions options) {
+  const std::string path = std::string(PATCHSEC_SOURCE_DIR) + "/docs/validation/" + file;
+  std::ifstream in(path);
+  ASSERT_TRUE(in) << "missing committed report: " << path;
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  const std::string committed = buffer.str();
+
+  const tg::DifferentialReport report = tg::DifferentialRunner(options).run();
+  EXPECT_EQ(json_field(committed, "schema_version"),
+            json_field(report.to_json(), "schema_version"));
+
+  std::istringstream lines(committed);
+  std::string line;
+  std::size_t i = 0;
+  while (std::getline(lines, line)) {
+    if (line.find("\"scenario_seed\"") == std::string::npos) continue;
+    ASSERT_LT(i, report.cases.size()) << "committed report has extra cases";
+    const tg::DifferentialCase& c = report.cases[i++];
+    EXPECT_EQ(std::stoull(json_field(line, "scenario_seed")), c.scenario_seed) << "case " << i;
+    EXPECT_EQ(json_field(line, "inside_ci"), c.inside_ci ? "true" : "false") << c.label;
+    EXPECT_NEAR(std::stod(json_field(line, "analytic_coa")), c.analytic_coa, 1e-10) << c.label;
+  }
+  EXPECT_EQ(i, report.cases.size()) << "committed report is missing cases";
+}
+
+}  // namespace
+
+TEST(CommittedReports, SteadyStateSweepIsCurrent) {
+  expect_committed_report_current("differential_steady_50.json", {});
+}
+
+TEST(CommittedReports, TransientSweepIsCurrent) {
+  tg::DifferentialOptions options;
+  options.mode = tg::DifferentialMode::kTransient;
+  options.simulation.replications = 512;  // the runner's --transient default
+  expect_committed_report_current("differential_transient_50.json", options);
+}
+
+TEST(CommittedReports, LumpedSweepIsCurrent) {
+  tg::DifferentialOptions options;
+  options.mode = tg::DifferentialMode::kLumped;
+  expect_committed_report_current("differential_lumped_50.json", options);
 }

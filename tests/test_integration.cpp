@@ -113,7 +113,7 @@ TEST(Integration, SecurityAvailabilityTradeoffExists) {
                    base.after_patch.attack_success_probability);
 }
 
-TEST(Integration, HeterogeneousPatchIntervalEvaluators) {
+TEST(Integration, HeterogeneousPatchIntervalsInOneSession) {
   // One session can evaluate under different schedules; the result is
   // independent per cadence and monotone: the faster the patch cadence, the
   // lower the COA.

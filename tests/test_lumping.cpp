@@ -545,14 +545,13 @@ TEST(Factored, PaperDesignsTransientMatchesFlatOracle) {
   const std::vector<double> grid{0.5, 2.0, 6.0, 12.0, 24.0};
   for (const auto& design : designs) {
     SCOPED_TRACE(design.name());
-    av::TransientCoaOptions options;
+    std::map<ent::ServerRole, unsigned> wave;
     for (unsigned role = 0; role < ent::kRoleCount; ++role) {
-      options.initial_down.emplace(static_cast<ent::ServerRole>(role), 1u);
+      wave.emplace(static_cast<ent::ServerRole>(role), 1u);
     }
-    const av::CoaCurveEvaluation flat =
-        av::transient_coa_detailed(design, rates(), grid, options);
+    const av::CoaCurveEvaluation flat = av::transient_coa_detailed(design, rates(), grid, wave);
     const av::CoaCurveEvaluation lumped =
-        av::transient_coa_lumped_detailed(design, rates(), grid, options);
+        av::transient_coa_lumped_detailed(design, rates(), grid, wave);
     ASSERT_EQ(flat.curve.size(), lumped.curve.size());
     for (std::size_t j = 0; j < grid.size(); ++j) {
       EXPECT_NEAR(flat.curve[j].coa, lumped.curve[j].coa, kCurveTol) << "t=" << grid[j];
@@ -663,13 +662,13 @@ TEST(Factored, FiftyServersPerTierEvaluatesExactly) {
   EXPECT_LE(lumped.coa, 1.0);
 
   // Transient: a deep patch wave heals toward the steady state.
-  av::TransientCoaOptions options;
+  std::map<ent::ServerRole, unsigned> wave;
   for (unsigned role = 0; role < ent::kRoleCount; ++role) {
-    options.initial_down.emplace(static_cast<ent::ServerRole>(role), 5u);
+    wave.emplace(static_cast<ent::ServerRole>(role), 5u);
   }
   const std::vector<double> grid{0.5, 2.0, 6.0, 12.0, 24.0, 2000.0};
   const av::CoaCurveEvaluation curve =
-      av::transient_coa_lumped_detailed(design, rates(), grid, options);
+      av::transient_coa_lumped_detailed(design, rates(), grid, wave);
   for (const av::CoaPoint& point : curve.curve) {
     EXPECT_GE(point.coa, 0.0);
     EXPECT_LE(point.coa, 1.0);

@@ -1,14 +1,14 @@
 // Tests for the Scenario/Session evaluation API: builder defaults and
 // validation, end-to-end EngineOptions plumbing (observable as
 // iteration-count changes reported from linalg::solve_steady_state), solver
-// diagnostics in EvalReport, schedule sweeps, parallel batches and the
-// deprecated-Evaluator shim equivalence.
+// diagnostics in EvalReport, schedule sweeps and parallel batches.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 
@@ -16,14 +16,6 @@
 #include "patchsec/core/report.hpp"
 #include "patchsec/core/sensitivity.hpp"
 #include "patchsec/core/session.hpp"
-
-// The shim-equivalence tests below intentionally exercise the deprecated API.
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#elif defined(_MSC_VER)
-#pragma warning(disable : 4996)
-#endif
-#include "patchsec/core/evaluation.hpp"
 
 namespace core = patchsec::core;
 namespace ent = patchsec::enterprise;
@@ -332,53 +324,6 @@ TEST(SessionOverloads, EscalateStarvedSolvesInsteadOfUsingThem) {
                std::runtime_error);
 }
 
-// ---------- deprecated shim equivalence -----------------------------------------
-
-TEST(EvaluatorShim, PaperCaseStudyNumbersIdenticalToSession) {
-  const core::Evaluator shim = core::Evaluator::paper_case_study();
-  const core::Session session(core::Scenario::paper_case_study());
-
-  const auto old_evals = shim.evaluate_all(ent::paper_designs());
-  const auto new_reports = session.evaluate_all();
-  ASSERT_EQ(old_evals.size(), new_reports.size());
-  for (std::size_t i = 0; i < old_evals.size(); ++i) {
-    EXPECT_EQ(old_evals[i].design, new_reports[i].design);
-    EXPECT_DOUBLE_EQ(old_evals[i].coa, new_reports[i].coa);
-    EXPECT_DOUBLE_EQ(old_evals[i].before_patch.attack_success_probability,
-                     new_reports[i].before_patch.attack_success_probability);
-    EXPECT_DOUBLE_EQ(old_evals[i].after_patch.attack_success_probability,
-                     new_reports[i].after_patch.attack_success_probability);
-    EXPECT_DOUBLE_EQ(old_evals[i].before_patch.attack_impact,
-                     new_reports[i].before_patch.attack_impact);
-    EXPECT_EQ(old_evals[i].after_patch.exploitable_vulnerabilities,
-              new_reports[i].after_patch.exploitable_vulnerabilities);
-    EXPECT_EQ(old_evals[i].after_patch.attack_paths, new_reports[i].after_patch.attack_paths);
-    EXPECT_EQ(old_evals[i].after_patch.entry_points, new_reports[i].after_patch.entry_points);
-  }
-
-  // Table V rates agree too.
-  const auto& old_rates = shim.aggregated_rates();
-  const auto& new_rates = session.aggregated_rates();
-  ASSERT_EQ(old_rates.size(), new_rates.size());
-  for (const auto& [role, r] : old_rates) {
-    EXPECT_DOUBLE_EQ(r.lambda_eq, new_rates.at(role).lambda_eq) << ent::to_string(role);
-    EXPECT_DOUBLE_EQ(r.mu_eq, new_rates.at(role).mu_eq) << ent::to_string(role);
-  }
-}
-
-TEST(EvaluatorShim, AccessorsForwardToTheScenario) {
-  const core::Evaluator shim = core::Evaluator::paper_case_study(168.0);
-  EXPECT_DOUBLE_EQ(shim.patch_interval_hours(), 168.0);
-  EXPECT_EQ(shim.specs().size(), 4u);
-}
-
-TEST(EvaluatorShim, StaysCopyableLikeTheOriginal) {
-  const core::Evaluator shim = core::Evaluator::paper_case_study(168.0);
-  const core::Evaluator copy = shim;  // the original Evaluator was copyable
-  EXPECT_DOUBLE_EQ(copy.patch_interval_hours(), 168.0);
-  EXPECT_EQ(&copy.aggregated_rates(), &shim.aggregated_rates());  // shared session
-}
-
 // ---------------------------------------------------------------------------
 // EvalBackend::kSimulation: the Monte-Carlo evaluation path through Session.
 // ---------------------------------------------------------------------------
@@ -544,8 +489,8 @@ TEST(SessionMemoizationAudit, TransientAndSteadyShareOnlyTheAggregationCache) {
 
   const core::Session analytic(core::Scenario::paper_case_study().with_engine(transient_analytic));
   const core::Session simulated(core::Scenario::paper_case_study().with_engine(transient_sim));
-  const core::EvalReport s = simulated.evaluate_transient(ent::example_network_design());
-  const core::EvalReport a = analytic.evaluate_transient(ent::example_network_design());
+  const core::EvalReport s = simulated.evaluate_transient(ent::example_network_design(), {});
+  const core::EvalReport a = analytic.evaluate_transient(ent::example_network_design(), {});
 
   EXPECT_EQ(s.backend, core::EvalBackend::kSimulation);
   EXPECT_EQ(a.backend, core::EvalBackend::kAnalytic);
@@ -602,14 +547,15 @@ TEST(SessionMemoizationAudit, LumpedAndFlatSessionsStayEngineTrue) {
 TEST(SessionMemoizationAudit, LumpedTransientMatchesFlatTransient) {
   core::EngineOptions flat_engine;
   flat_engine.time_points = {0.5, 2.0, 12.0, 24.0};
-  flat_engine.initial_down = {{ent::ServerRole::kWeb, 1}, {ent::ServerRole::kApp, 1}};
+  const std::map<ent::ServerRole, unsigned> wave{{ent::ServerRole::kWeb, 1},
+                                                 {ent::ServerRole::kApp, 1}};
   core::EngineOptions lumped_engine = flat_engine;
   lumped_engine.lumping = true;
 
   const core::Session flat(core::Scenario::paper_case_study().with_engine(flat_engine));
   const core::Session lumped(core::Scenario::paper_case_study().with_engine(lumped_engine));
-  const core::EvalReport f = flat.evaluate_transient(ent::example_network_design());
-  const core::EvalReport l = lumped.evaluate_transient(ent::example_network_design());
+  const core::EvalReport f = flat.evaluate_transient(ent::example_network_design(), wave);
+  const core::EvalReport l = lumped.evaluate_transient(ent::example_network_design(), wave);
 
   ASSERT_EQ(f.transient.coa.size(), l.transient.coa.size());
   for (std::size_t j = 0; j < f.transient.coa.size(); ++j) {
@@ -701,8 +647,8 @@ TEST(SessionMemoizationAudit, InterleavedSessionsKeepTheirWarmStructures) {
   const core::Session first(core::Scenario::paper_case_study().with_engine(engine));
   const core::Session second(core::Scenario::paper_case_study().with_engine(engine));
   for (int round = 0; round < 2; ++round) {
-    (void)first.evaluate_transient(ent::example_network_design());
-    (void)second.evaluate_transient(ent::example_network_design());
+    (void)first.evaluate_transient(ent::example_network_design(), {});
+    (void)second.evaluate_transient(ent::example_network_design(), {});
   }
   const core::Session::WorkspaceCounters a = first.workspace_counters();
   const core::Session::WorkspaceCounters b = second.workspace_counters();

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <vector>
+
 #include "patchsec/avail/transient_coa.hpp"
 #include "patchsec/enterprise/network.hpp"
 #include "patchsec/petri/reachability.hpp"
@@ -23,61 +26,74 @@ const std::map<ent::ServerRole, av::AggregatedRates>& rates() {
   return r;
 }
 
+/// COA(t) over `grid` from the patch window `wave`, through the engine
+/// behind Session::evaluate_transient.
+std::vector<double> coa_curve(const ent::RedundancyDesign& design,
+                              const std::map<ent::ServerRole, unsigned>& wave,
+                              const std::vector<double>& grid) {
+  std::vector<double> coa;
+  for (const av::CoaPoint& point : av::transient_coa_detailed(design, rates(), grid, wave).curve) {
+    coa.push_back(point.coa);
+  }
+  return coa;
+}
+
 }  // namespace
 
 TEST(TransientCoa, DipAtZeroHealsTowardSteadyState) {
   const ent::RedundancyDesign design = ent::example_network_design();
   const std::map<ent::ServerRole, unsigned> one_web_down{{ent::ServerRole::kWeb, 1}};
-  const auto curve =
-      av::transient_coa_curve(design, rates(), one_web_down, {0.0, 0.2, 0.5, 1.5, 1000.0});
+  const auto curve = coa_curve(design, one_web_down, {0.0, 0.2, 0.5, 1.5, 1000.0});
   ASSERT_EQ(curve.size(), 5u);
   // t=0: one of six servers down, the rest up: COA exactly 5/6.
-  EXPECT_NEAR(curve[0].coa, 5.0 / 6.0, 1e-9);
+  EXPECT_NEAR(curve[0], 5.0 / 6.0, 1e-9);
   // Recovery within the MTTR time scale is strictly monotone; past that the
   // curve has flattened onto the steady state.
   for (std::size_t i = 1; i + 1 < curve.size(); ++i) {
-    EXPECT_GT(curve[i].coa, curve[i - 1].coa) << "i=" << i;
+    EXPECT_GT(curve[i], curve[i - 1]) << "i=" << i;
   }
-  EXPECT_GE(curve.back().coa, curve[curve.size() - 2].coa - 1e-9);
+  EXPECT_GE(curve.back(), curve[curve.size() - 2] - 1e-9);
   const double steady = av::capacity_oriented_availability(design, rates());
-  EXPECT_NEAR(curve.back().coa, steady, 1e-4);
+  EXPECT_NEAR(curve.back(), steady, 1e-4);
 }
 
 TEST(TransientCoa, WholeTierDownStartsAtZero) {
   const ent::RedundancyDesign design = ent::example_network_design();
   const std::map<ent::ServerRole, unsigned> db_down{{ent::ServerRole::kDb, 1}};
-  const auto curve = av::transient_coa_curve(design, rates(), db_down, {0.0, 0.25});
-  EXPECT_DOUBLE_EQ(curve[0].coa, 0.0);  // db tier fully down: no service
-  EXPECT_GT(curve[1].coa, 0.0);
+  const auto curve = coa_curve(design, db_down, {0.0, 0.25});
+  EXPECT_DOUBLE_EQ(curve[0], 0.0);  // db tier fully down: no service
+  EXPECT_GT(curve[1], 0.0);
 }
 
 TEST(TransientCoa, InitialDownClampedToTierSize) {
   const ent::RedundancyDesign design{{1, 1, 1, 1}};
   const std::map<ent::ServerRole, unsigned> excessive{{ent::ServerRole::kWeb, 5}};
-  const auto curve = av::transient_coa_curve(design, rates(), excessive, {0.0});
-  EXPECT_DOUBLE_EQ(curve[0].coa, 0.0);  // the single web server is down
+  const auto curve = coa_curve(design, excessive, {0.0});
+  EXPECT_DOUBLE_EQ(curve[0], 0.0);  // the single web server is down
 }
 
 TEST(TransientCoa, RedundantTierHealsFasterInitialLoss) {
   // One web down: the 2-web design still serves (5/6 capacity) while the
   // 1-web design is fully out at t=0.
   const std::map<ent::ServerRole, unsigned> one_web{{ent::ServerRole::kWeb, 1}};
-  const auto redundant = av::transient_coa_curve(ent::example_network_design(), rates(),
-                                                 one_web, {0.0});
-  const auto bare =
-      av::transient_coa_curve(ent::RedundancyDesign{{1, 1, 1, 1}}, rates(), one_web, {0.0});
-  EXPECT_NEAR(redundant[0].coa, 5.0 / 6.0, 1e-9);
-  EXPECT_DOUBLE_EQ(bare[0].coa, 0.0);
+  const auto redundant = coa_curve(ent::example_network_design(), one_web, {0.0});
+  const auto bare = coa_curve(ent::RedundancyDesign{{1, 1, 1, 1}}, one_web, {0.0});
+  EXPECT_NEAR(redundant[0], 5.0 / 6.0, 1e-9);
+  EXPECT_DOUBLE_EQ(bare[0], 0.0);
 }
 
 TEST(TransientCoa, ShortfallPositiveAndBoundedByDipDepth) {
+  // Capacity shortfall of one patch wave: steady COA * T minus the
+  // accumulated COA over [0, T].
   const ent::RedundancyDesign design = ent::example_network_design();
   const std::map<ent::ServerRole, unsigned> one_app{{ent::ServerRole::kApp, 1}};
-  const double shortfall = av::patch_dip_shortfall(design, rates(), one_app, 24.0, 256);
+  const double steady = av::capacity_oriented_availability(design, rates());
+  const double shortfall =
+      steady * 24.0 -
+      av::transient_coa_detailed(design, rates(), {24.0}, one_app).accumulated_coa_hours;
   EXPECT_GT(shortfall, 0.0);
   // The dip starts at depth (steady - 5/6) and shrinks: the integral over
   // 24 h is far below depth * horizon.
-  const double steady = av::capacity_oriented_availability(design, rates());
   EXPECT_LT(shortfall, (steady - 5.0 / 6.0) * 24.0);
   // MTTR of the app tier is ~1 h, so the shortfall is on the order of
   // depth * MTTR; allow generous slack.
@@ -85,14 +101,11 @@ TEST(TransientCoa, ShortfallPositiveAndBoundedByDipDepth) {
 }
 
 TEST(TransientCoa, Validation) {
-  EXPECT_THROW((void)av::transient_coa_curve(ent::example_network_design(), rates(), {}, {}),
+  EXPECT_THROW((void)coa_curve(ent::example_network_design(), {}, {}), std::invalid_argument);
+  EXPECT_THROW((void)coa_curve(ent::example_network_design(), {}, {-1.0}),
                std::invalid_argument);
-  EXPECT_THROW(
-      (void)av::transient_coa_curve(ent::example_network_design(), rates(), {}, {-1.0}),
-      std::invalid_argument);
-  EXPECT_THROW(
-      (void)av::patch_dip_shortfall(ent::example_network_design(), rates(), {}, 0.0),
-      std::invalid_argument);
+  EXPECT_THROW((void)coa_curve(ent::example_network_design(), {}, {2.0, 1.0}),
+               std::invalid_argument);
 }
 
 // ---------- synchronized patching ablation ----------------------------------------

@@ -66,9 +66,9 @@ TEST(TransientGrid, ExplicitGridWinsAndIsValidated) {
 TEST(TransientEngine, AnalyticCurveHealsFromThePatchWindowDip) {
   core::EngineOptions engine;
   engine.time_points = {0.0, 0.5, 1.0, 2.0, 6.0, 1000.0};
-  engine.initial_down = {{ent::ServerRole::kApp, 1}};
   const core::Session session(transient_scenario(engine));
-  const core::EvalReport report = session.evaluate_transient(ent::example_network_design());
+  const core::EvalReport report =
+      session.evaluate_transient(ent::example_network_design(), {{ent::ServerRole::kApp, 1}});
 
   ASSERT_EQ(report.transient.time_points_hours.size(), 6u);
   ASSERT_EQ(report.transient.coa.size(), 6u);
@@ -106,19 +106,17 @@ TEST(TransientEngine, MatchesTheAvailLayerEngine) {
   // not a second implementation.
   core::EngineOptions engine;
   engine.time_points = {0.0, 1.0, 8.0};
-  engine.initial_down = {{ent::ServerRole::kWeb, 1}};
+  const std::map<ent::ServerRole, unsigned> wave{{ent::ServerRole::kWeb, 1}};
   const core::Session session(transient_scenario(engine));
-  const core::EvalReport report = session.evaluate_transient(ent::example_network_design());
+  const core::EvalReport report = session.evaluate_transient(ent::example_network_design(), wave);
 
-  av::TransientCoaOptions options;
-  options.initial_down = engine.initial_down;
   const av::CoaCurveEvaluation direct = av::transient_coa_detailed(
-      ent::example_network_design(), session.aggregated_rates(), engine.time_points, options);
+      ent::example_network_design(), session.aggregated_rates(), engine.time_points, wave);
   ASSERT_EQ(direct.curve.size(), report.transient.coa.size());
   for (std::size_t j = 0; j < direct.curve.size(); ++j) {
-    EXPECT_NEAR(report.transient.coa[j], direct.curve[j].coa, 1e-12) << "j=" << j;
+    EXPECT_EQ(report.transient.coa[j], direct.curve[j].coa) << "j=" << j;  // same route
   }
-  EXPECT_NEAR(report.transient.accumulated_coa_hours, direct.accumulated_coa_hours, 1e-12);
+  EXPECT_EQ(report.transient.accumulated_coa_hours, direct.accumulated_coa_hours);
 }
 
 TEST(TransientEngine, SharesTheAggregationCacheWithTheSteadyPath) {
@@ -129,7 +127,7 @@ TEST(TransientEngine, SharesTheAggregationCacheWithTheSteadyPath) {
   const core::Session session(transient_scenario());
   const core::EvalReport steady = session.evaluate(ent::example_network_design());
   const auto rates_before = session.aggregated_rates();
-  const core::EvalReport transient = session.evaluate_transient(ent::example_network_design());
+  const core::EvalReport transient = session.evaluate_transient(ent::example_network_design(), {});
   for (const auto& [role, diag] : steady.aggregation_diagnostics) {
     const auto it = transient.aggregation_diagnostics.find(role);
     ASSERT_NE(it, transient.aggregation_diagnostics.end());
@@ -149,9 +147,9 @@ TEST(TransientEngine, ExplicitCadenceChangesTheCurve) {
   // All-up start: the curve decays from 1 toward the cadence's steady state,
   // so a faster cadence must sit lower at the far point.
   const core::EvalReport monthly =
-      session.evaluate_transient(ent::example_network_design(), 720.0);
+      session.evaluate_transient(ent::example_network_design(), {}, 720.0);
   const core::EvalReport weekly =
-      session.evaluate_transient(ent::example_network_design(), 168.0);
+      session.evaluate_transient(ent::example_network_design(), {}, 168.0);
   EXPECT_NEAR(monthly.transient.coa.front(), 1.0, 1e-12);
   EXPECT_NEAR(weekly.transient.coa.front(), 1.0, 1e-12);
   EXPECT_LT(weekly.transient.coa.back(), monthly.transient.coa.back());
@@ -178,12 +176,10 @@ TEST(TransientEngine, BatchedWavesMatchSequentialEvaluations) {
       session.evaluate_transient_batch(ent::example_network_design(), waves);
   ASSERT_EQ(batch.size(), waves.size());
 
+  const core::Session reference(transient_scenario(engine));
   for (std::size_t b = 0; b < waves.size(); ++b) {
-    core::EngineOptions sequential = engine;
-    sequential.initial_down = waves[b];
-    const core::Session reference(transient_scenario(sequential));
     const core::EvalReport expected =
-        reference.evaluate_transient(ent::example_network_design());
+        reference.evaluate_transient(ent::example_network_design(), waves[b]);
     ASSERT_EQ(batch[b].transient.coa.size(), expected.transient.coa.size());
     for (std::size_t j = 0; j < expected.transient.coa.size(); ++j) {
       EXPECT_NEAR(batch[b].transient.coa[j], expected.transient.coa[j], 1e-11)
@@ -218,12 +214,10 @@ TEST(TransientEngine, BatchFallsBackSequentiallyUnderLumping) {
   const std::vector<core::EvalReport> batch =
       session.evaluate_transient_batch(ent::example_network_design(), waves);
   ASSERT_EQ(batch.size(), waves.size());
+  const core::Session reference(transient_scenario(engine));
   for (std::size_t b = 0; b < waves.size(); ++b) {
-    core::EngineOptions sequential = engine;
-    sequential.initial_down = waves[b];
-    const core::Session reference(transient_scenario(sequential));
     const core::EvalReport expected =
-        reference.evaluate_transient(ent::example_network_design());
+        reference.evaluate_transient(ent::example_network_design(), waves[b]);
     ASSERT_EQ(batch[b].transient.coa.size(), expected.transient.coa.size());
     for (std::size_t j = 0; j < expected.transient.coa.size(); ++j) {
       EXPECT_DOUBLE_EQ(batch[b].transient.coa[j], expected.transient.coa[j]);
@@ -237,7 +231,8 @@ TEST(TransientEngine, BatchFallsBackSequentiallyUnderLumping) {
 TEST(TransientEngine, SimulationBackendAgreesWithAnalyticCurve) {
   core::EngineOptions analytic_engine;
   analytic_engine.time_points = {0.0, 0.5, 1.0, 2.0, 6.0, 24.0};
-  analytic_engine.initial_down = {{ent::ServerRole::kApp, 1}, {ent::ServerRole::kWeb, 1}};
+  const std::map<ent::ServerRole, unsigned> wave{{ent::ServerRole::kApp, 1},
+                                                 {ent::ServerRole::kWeb, 1}};
 
   core::EngineOptions sim_engine = analytic_engine;
   sim_engine.backend = core::EvalBackend::kSimulation;
@@ -247,9 +242,9 @@ TEST(TransientEngine, SimulationBackendAgreesWithAnalyticCurve) {
   const core::Session analytic_session(transient_scenario(analytic_engine));
   const core::Session sim_session(transient_scenario(sim_engine));
   const core::EvalReport analytic =
-      analytic_session.evaluate_transient(ent::example_network_design());
+      analytic_session.evaluate_transient(ent::example_network_design(), wave);
   const core::EvalReport simulated =
-      sim_session.evaluate_transient(ent::example_network_design());
+      sim_session.evaluate_transient(ent::example_network_design(), wave);
 
   EXPECT_EQ(simulated.backend, core::EvalBackend::kSimulation);
   ASSERT_EQ(simulated.transient.coa.size(), 6u);
@@ -273,7 +268,6 @@ TEST(TransientEngine, SimulationCurveIsThreadCountInvariant) {
   core::EngineOptions engine;
   engine.backend = core::EvalBackend::kSimulation;
   engine.time_points = {0.0, 1.0, 6.0, 24.0};
-  engine.initial_down = {{ent::ServerRole::kDb, 1}};
   engine.simulation.replications = 96;
   engine.simulation.seed = 7;
 
@@ -282,8 +276,9 @@ TEST(TransientEngine, SimulationCurveIsThreadCountInvariant) {
   engine.simulation.threads = 4;
   const core::Session threaded(transient_scenario(engine));
 
-  const core::EvalReport a = serial.evaluate_transient(ent::example_network_design());
-  const core::EvalReport b = threaded.evaluate_transient(ent::example_network_design());
+  const std::map<ent::ServerRole, unsigned> wave{{ent::ServerRole::kDb, 1}};
+  const core::EvalReport a = serial.evaluate_transient(ent::example_network_design(), wave);
+  const core::EvalReport b = threaded.evaluate_transient(ent::example_network_design(), wave);
   ASSERT_EQ(a.transient.coa.size(), b.transient.coa.size());
   for (std::size_t j = 0; j < a.transient.coa.size(); ++j) {
     EXPECT_EQ(a.transient.coa[j], b.transient.coa[j]) << "j=" << j;  // bit-identical
@@ -299,7 +294,7 @@ TEST(TransientEngine, AgreementRejectsMismatchedOrMissingCurves) {
   core::EngineOptions engine;
   engine.time_points = {0.0, 1.0, 4.0};
   const core::Session session(transient_scenario(engine));
-  const core::EvalReport curve = session.evaluate_transient(ent::example_network_design());
+  const core::EvalReport curve = session.evaluate_transient(ent::example_network_design(), {});
   const core::EvalReport steady = session.evaluate(ent::example_network_design());
   EXPECT_FALSE(curve.transient_agrees_with(steady));  // no curve on the other side
   EXPECT_FALSE(steady.transient_agrees_with(curve));
@@ -307,11 +302,12 @@ TEST(TransientEngine, AgreementRejectsMismatchedOrMissingCurves) {
   core::EngineOptions other_grid = engine;
   other_grid.time_points = {0.0, 2.0, 4.0};
   const core::Session other_session(transient_scenario(other_grid));
-  const core::EvalReport other = other_session.evaluate_transient(ent::example_network_design());
+  const core::EvalReport other =
+      other_session.evaluate_transient(ent::example_network_design(), {});
   EXPECT_FALSE(curve.transient_agrees_with(other));  // different grids never compare
 
   // Identical analytic evaluations agree within round-off.
-  const core::EvalReport again = session.evaluate_transient(ent::example_network_design());
+  const core::EvalReport again = session.evaluate_transient(ent::example_network_design(), {});
   EXPECT_TRUE(curve.transient_agrees_with(again));
 }
 
@@ -320,9 +316,9 @@ TEST(TransientEngine, AgreementRejectsMismatchedOrMissingCurves) {
 TEST(TransientEngine, JsonCarriesTheCurvePayload) {
   core::EngineOptions engine;
   engine.time_points = {0.0, 2.0, 24.0};
-  engine.initial_down = {{ent::ServerRole::kApp, 1}};
   const core::Session session(transient_scenario(engine));
-  const core::EvalReport report = session.evaluate_transient(ent::example_network_design());
+  const core::EvalReport report =
+      session.evaluate_transient(ent::example_network_design(), {{ent::ServerRole::kApp, 1}});
 
   std::ostringstream out;
   core::write_json(out, std::vector<core::EvalReport>{report});

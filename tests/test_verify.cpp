@@ -477,7 +477,7 @@ TEST(VerifyWiring, TransientEvaluationCarriesVerification) {
   engine.transient_points = 3;
   scenario.with_engine(engine);
   const core::Session session(scenario);
-  const core::EvalReport report = session.evaluate_transient(ent::example_network_design());
+  const core::EvalReport report = session.evaluate_transient(ent::example_network_design(), {});
   EXPECT_EQ(report.verification.size(), session.scenario().specs().size() + 1);
   EXPECT_TRUE(report.lint_clean());
 }
