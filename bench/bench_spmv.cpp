@@ -1,8 +1,7 @@
 // Microbenchmarks for the SIMD sparse-kernel layer (linalg::SpmvKernel):
-// the scalar CsrMatrix pass vs the compiled SELL-8 kernel, the fused
-// uniformization step, and the multi-RHS panel at several widths — on the
-// k=4 and k=6 network generators whose matvec chains dominate the transient
-// engine.  run_benchmarks tracks the end-to-end counterparts
+// the scalar CsrMatrix pass vs the compiled SELL-8 kernel and the fused
+// uniformization step — on the k=4 and k=6 network generators whose matvec
+// chains dominate the transient engine.  run_benchmarks tracks the end-to-end counterparts
 // (transient_curve_k6_{warm,simd}, transient_batch8_k6) in
 // BENCH_RESULTS.json; this bench isolates the kernel itself.
 
@@ -107,29 +106,6 @@ void BM_SpmvKernelFusedStep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SpmvKernelFusedStep)->Arg(4)->Arg(6);
-
-// The multi-RHS panel step at width m on the k=6 generator: one matrix sweep
-// advances m interleaved iterates.  Per-curve throughput is time/m — the
-// panel amortizes index traffic and vectorizes across the RHS dimension.
-void BM_SpmvKernelPanelStep(benchmark::State& state) {
-  const la::CsrMatrix q = network_generator(6);
-  la::SpmvKernel kernel;
-  kernel.compile(q);
-  const std::size_t n = q.rows();
-  const std::size_t m = static_cast<std::size_t>(state.range(0));
-  const std::vector<double> x = uniform_vector(n * m, 1.0 / static_cast<double>(n));
-  const std::vector<double> r = uniform_vector(n, 0.5);
-  std::vector<double> accum(n * m, 0.0);
-  std::vector<double> y(n * m);
-  std::vector<double> dots(m);
-  for (auto _ : state) {
-    kernel.step_panel(x.data(), y.data(), m, 1e-3, accum.data(), r.data(), dots.data());
-    benchmark::DoNotOptimize(dots.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(m));
-}
-BENCHMARK(BM_SpmvKernelPanelStep)->Arg(1)->Arg(4)->Arg(8)->Arg(16);
 
 // Structure compile vs value refresh: the workspace contract the transient
 // engine leans on across cadence sweeps (same sparsity, new rates).

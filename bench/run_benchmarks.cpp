@@ -307,9 +307,9 @@ int main(int argc, char** argv) {
     const double scalar_warm_best = results.back().wall_seconds_best;
 
     // Schema v5 rows — the SIMD kernel layer.  transient_curve_k6_simd is
-    // the warm row's exact work on the SIMD+panel path: the same curve
-    // ridden on an 8-wide panel (8 replicated initial conditions, one
-    // matrix sweep per expansion term for all 8), with wall_seconds
+    // the warm row's curve on the kAuto path: the same curve ridden on an
+    // 8-wide panel (8 replicated initial conditions sharing one backward
+    // reward series), with wall_seconds
     // reported PER CURVE (total / 8) so the row is directly comparable to
     // the scalar warm row.  `converged` asserts scalar-oracle agreement at
     // 1e-10 plus the ROADMAP >=4x speedup target against the scalar row
@@ -346,9 +346,9 @@ int main(int argc, char** argv) {
     }
     const double simd_warm_best = results.back().wall_seconds_best;
 
-    // transient_batch8_k6: eight patch-wave initial markings advanced by ONE
-    // panel solve.  The sequential reference (eight single-RHS curves on the
-    // same warm SIMD solver) is timed with the same best-of-reps discipline;
+    // transient_batch8_k6: eight patch-wave initial markings evaluated by
+    // ONE panel solve.  The sequential reference (eight single-RHS curves on
+    // the same warm SIMD solver) is timed with the same best-of-reps discipline;
     // `converged` asserts per-curve equivalence AND that the panel beats it.
     std::vector<std::vector<double>> initials;
     for (unsigned i = 1; i <= 8; ++i) {

@@ -4,11 +4,13 @@
 // the capacity dip when patch day hits, and how fast does it heal?" — a
 // question the steady-state COA of the paper averages away.
 //
-// transient_coa_detailed() is the engine behind core::Session::
-// evaluate_transient: one reachability build and one uniformized-matrix
-// build (via a reusable ctmc::TransientSolver workspace) amortized over the
-// whole time grid, returning the COA curve, the accumulated COA (capacity
-// delivered over the window, in server-fraction hours) and diagnostics.
+// transient_coa_batch() is the engine behind core::Session::
+// evaluate_transient and evaluate_transient_batch: one reachability build,
+// one uniformized-matrix build (via a reusable ctmc::TransientSolver
+// workspace) and one reward series amortized over the whole time grid and
+// every patch wave, returning per wave the COA curve, the accumulated COA
+// (capacity delivered over the window, in server-fraction hours) and
+// diagnostics.  transient_coa_detailed() is its one-wave case.
 
 #include <map>
 #include <vector>
@@ -56,7 +58,8 @@ struct CoaCurveEvaluation {
 /// (clamped to the tier size; roles not deployed are ignored; empty = all
 /// up).  A non-null `workspace` reuses the caller's ctmc::TransientSolver: a
 /// second curve on the same design+rates skips the uniformized-matrix
-/// rebuild (core::Session passes one per worker thread).  Throws
+/// rebuild (core::Session passes one per worker thread).  This is
+/// transient_coa_batch() of the one wave, bit for bit.  Throws
 /// std::invalid_argument on an empty, negative or descending grid.
 [[nodiscard]] CoaCurveEvaluation transient_coa_detailed(
     const enterprise::RedundancyDesign& design,
@@ -66,21 +69,20 @@ struct CoaCurveEvaluation {
     const TransientCoaOptions& options = {}, ctmc::TransientSolver* workspace = nullptr);
 
 /// Batched transient COA: evaluate the SAME design/rates/grid from B
-/// different patch-wave initial markings in ONE panel solve — the network
-/// SRN, reachability graph, reward vector and uniformized matrix are built
-/// once, and every uniformization expansion term costs one matrix sweep for
-/// all B waves (ctmc::TransientSolver::reward_curve_multi).  This is the
-/// design-sweep shape: COA dip curves for a whole patch campaign's wave
-/// plan in a single pass.
+/// different patch-wave initial markings in ONE solve — the network SRN,
+/// reachability graph, reward vector and uniformized matrix are built once,
+/// and one backward reward series serves all B waves
+/// (ctmc::TransientSolver::reward_curve_multi).  This is the design-sweep
+/// shape: COA dip curves for a whole patch campaign's wave plan in a single
+/// pass.
 ///
 /// Returns one CoaCurveEvaluation per wave, ordered like `waves`.  Each
 /// result's `diagnostics`/`transient` describe the SHARED batch solve
 /// (matvec_count counts sweeps; transient.rhs_count records B), so summing
-/// them across results would double-count.  The panel runs even for one
-/// wave, so every column is bit-identical to the same column of a wider
-/// batch; transient_coa_detailed's single-vector route may differ from it
-/// in the last ulp.  Throws like transient_coa_detailed, plus
-/// std::invalid_argument on an empty wave list.
+/// them across results would double-count.  A wave's result is
+/// bit-identical whichever other waves share its batch.  Throws like
+/// transient_coa_detailed, plus std::invalid_argument on an empty wave
+/// list.
 [[nodiscard]] std::vector<CoaCurveEvaluation> transient_coa_batch(
     const enterprise::RedundancyDesign& design,
     const std::map<enterprise::ServerRole, AggregatedRates>& rates,

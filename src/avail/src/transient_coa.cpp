@@ -82,22 +82,7 @@ CoaCurveEvaluation transient_coa_detailed(
     const std::vector<double>& time_points_hours,
     const std::map<enterprise::ServerRole, unsigned>& wave, const TransientCoaOptions& options,
     ctmc::TransientSolver* workspace) {
-  if (time_points_hours.empty()) {
-    throw std::invalid_argument("transient_coa: no time points");
-  }
-  const auto start_time = Clock::now();
-  const TransientModel model(design, rates, options.reachability);
-
-  ctmc::TransientSolver local;
-  ctmc::TransientSolver& solver = workspace != nullptr ? *workspace : local;
-  solver.set_options(options.uniformization);
-  solver.prepare(model.graph.chain);
-
-  std::vector<double> values;
-  const double accumulated =
-      solver.reward_curve(model.initial(wave), model.rewards, time_points_hours, values);
-  return curve_evaluation(time_points_hours, values, accumulated, model.graph, solver,
-                          seconds_since(start_time));
+  return transient_coa_batch(design, rates, time_points_hours, {wave}, options, workspace).front();
 }
 
 std::vector<CoaCurveEvaluation> transient_coa_batch(
@@ -112,8 +97,8 @@ std::vector<CoaCurveEvaluation> transient_coa_batch(
   if (waves.empty()) throw std::invalid_argument("transient_coa_batch: no waves");
   const auto start_time = Clock::now();
 
-  // One model build serves the whole batch — this is the point of batching:
-  // the per-wave marginal cost is one panel column, not a solve.
+  // One model build and one reward series serve the whole batch: the
+  // per-wave marginal cost is a dot per series term, not a solve.
   const TransientModel model(design, rates, options.reachability);
   std::vector<std::vector<double>> initials;
   initials.reserve(waves.size());

@@ -220,7 +220,9 @@ class Session {
   /// paths share the cache).  Backend-dispatched like evaluate():
   /// kAnalytic runs uniformization, kSimulation the finite-horizon
   /// replicated estimator; the report's `transient` payload carries the
-  /// curve and its `coa` the time-averaged COA over the window.
+  /// curve and its `coa` the time-averaged COA over the window.  Under the
+  /// analytic non-lumped backend this is evaluate_transient_batch() of the
+  /// one wave, bit for bit.
   [[nodiscard]] EvalReport evaluate_transient(
       const enterprise::RedundancyDesign& design,
       const std::map<enterprise::ServerRole, unsigned>& wave) const;
@@ -233,13 +235,11 @@ class Session {
   /// Batched transient evaluation: one report per patch wave, ordered like
   /// `waves`, each as if evaluate_transient had run with that wave — at the
   /// scenario's first patch cadence.  Under the analytic non-lumped backend
-  /// the whole batch is ONE panel solve (avail::transient_coa_batch: one
-  /// reachability/matrix build, one matrix sweep per uniformization term for
-  /// ALL waves — see each report's transient_diagnostics.rhs_count), even
-  /// for a single wave, so a report's curve does not depend on which other
-  /// waves shared its panel; it may differ from evaluate_transient's
-  /// single-vector route in the last ulp.  The simulation and lumped
-  /// backends evaluate the waves sequentially.  Throws
+  /// the whole batch is ONE solve (avail::transient_coa_batch: one
+  /// reachability/matrix build and one reward series for ALL waves — see
+  /// each report's transient_diagnostics.rhs_count), and a report's curve
+  /// does not depend on which other waves shared its batch.  The simulation
+  /// and lumped backends evaluate the waves sequentially.  Throws
   /// std::invalid_argument on an empty wave list.
   [[nodiscard]] std::vector<EvalReport> evaluate_transient_batch(
       const enterprise::RedundancyDesign& design,

@@ -380,8 +380,11 @@ EvalReport Session::evaluate_transient(const enterprise::RedundancyDesign& desig
 EvalReport Session::evaluate_transient(const enterprise::RedundancyDesign& design,
                                        const std::map<enterprise::ServerRole, unsigned>& wave,
                                        double patch_interval_hours) const {
-  const auto start = Clock::now();
   const EngineOptions& engine = scenario_.engine();
+  if (engine.backend == EvalBackend::kAnalytic && !engine.lumping) {
+    return evaluate_transient_batch(design, {wave}, patch_interval_hours).front();
+  }
+  const auto start = Clock::now();
   const std::vector<double> grid = engine.transient_grid();
   const IntervalAggregation& agg = aggregation_for(patch_interval_hours);
   EvalReport report = report_shell(design, patch_interval_hours, agg);
@@ -404,12 +407,8 @@ EvalReport Session::evaluate_transient(const enterprise::RedundancyDesign& desig
     report.coa_half_width_95 = est.interval_half_width_95;
     report.simulation_diagnostics = est.diagnostics;
   } else {
-    const avail::TransientCoaOptions options = transient_options(engine);
-    fill_transient(
-        report, engine.lumping
-                    ? avail::transient_coa_lumped_detailed(design, agg.rates, grid, wave, options)
-                    : avail::transient_coa_detailed(design, agg.rates, grid, wave, options,
-                                                    &workspaces_for_this_thread().transient));
+    fill_transient(report, avail::transient_coa_lumped_detailed(design, agg.rates, grid, wave,
+                                                                transient_options(engine)));
   }
   report.wall_time_seconds = seconds_since(start);
   return report;

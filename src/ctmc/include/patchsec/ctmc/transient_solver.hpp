@@ -28,10 +28,20 @@
 ///  * all per-evaluation scratch (the power-iterate vectors, the Poisson
 ///    weight window) lives in the workspace, so evaluating a whole curve
 ///    performs no per-time-point allocations once warm;
-///  * reward_curve() steps between ascending grid points — pi(t_j) is
-///    advanced from pi(t_{j-1}) with a fresh Poisson window over
-///    Lambda * (t_j - t_{j-1}) — so a G-point curve costs O(Lambda * t_G)
-///    matrix-vector products in total, not O(G * Lambda * t_G).
+///  * reward_curve()/reward_curve_multi() run on the REWARD side
+///    (de Souza e Silva & Gail 1989): every curve point and the accumulated
+///    reward are linear in d_k = pi(0) . P^k r, so ONE backward series
+///    v_0 = r, v_{k+1} = P v_k, run to the right truncation point R of
+///    Lambda * t_last, serves the whole grid and every initial distribution:
+///
+///      r . pi(t_j)          = sum_k Poisson(k; Lambda t_j) * d_k
+///      int_0^t_last r.pi ds = (1/Lambda) sum_k (1 - F(k; Lambda t_last)) d_k
+///
+///    A curve of any width and any grid density costs R matrix-vector
+///    products.  Each d_k is a dot of the (sparse) initial with v_k in state
+///    order, so a column's result never depends on the other columns.
+///    Under Kernel::kScalar the curves instead step the distribution
+///    forward between ascending grid points (the reference trajectory).
 ///
 /// A TransientSolver is NOT thread-safe; hold one per thread
 /// (core::Session keeps one per worker thread, like StationarySolver).
@@ -49,15 +59,22 @@ namespace patchsec::ctmc {
 
 /// Truncation policy and inner-loop choice of the uniformization expansion.
 struct TransientOptions {
-  double epsilon = 1e-12;             ///< truncation error bound on Poisson mass.
-  std::size_t max_terms = 2'000'000;  ///< hard cap on expansion length.
+  double epsilon = 1e-12;  ///< truncation error bound on Poisson mass.
+  /// Hard cap on the expansion length.  Under Kernel::kAuto a curve runs one
+  /// series to the right truncation point of Lambda * t_last, so max_terms
+  /// bounds Lambda * t_last itself (a larger right point throws
+  /// std::runtime_error).  distribution_at() and the kScalar curves cap the
+  /// Poisson window of each step instead.
+  std::size_t max_terms = 2'000'000;
 
   /// Which inner loop drives the expansion.
   enum class Kernel : std::uint8_t {
     kAuto,    ///< linalg::SpmvKernel — SELL-8 layout, CPUID-dispatched
-              ///< SIMD, fused weight-accumulation/reward-reduction passes.
-    kScalar,  ///< the historical in-loop scalar CSR pass, kept bit-exact as
-              ///< the reference trajectory (and the portable worst case).
+              ///< SIMD: fused forward steps for distribution_at(), the
+              ///< one-pass backward reward series for the curves.
+    kScalar,  ///< the historical in-loop scalar CSR pass stepping the
+              ///< distribution forward, kept bit-exact as the reference
+              ///< trajectory (and the portable worst case).
   };
   Kernel kernel = Kernel::kAuto;
 };
@@ -70,12 +87,12 @@ struct TransientDiagnostics {
   double uniformization_rate = 0.0;  ///< Lambda.
   std::size_t left_point = 0;        ///< Fox-Glynn left truncation of the last window.
   std::size_t right_point = 0;       ///< right truncation of the last window.
-  /// Matrix SWEEPS since prepare().  A panel step advances rhs_count vectors
-  /// in ONE sweep and counts once — multiply by rhs_count for per-vector
-  /// work, so the counter stays an honest traffic metric.
+  /// Matrix SWEEPS since prepare().  Under kAuto one curve call of any width
+  /// sweeps the right truncation point of Lambda * t_last times, once for
+  /// all rhs_count initials; kScalar sweeps once per column and step term.
   std::size_t matvec_count = 0;
-  /// Widest panel advanced since prepare() (1 = single-vector evaluations
-  /// only; 0 = nothing evaluated yet).
+  /// Widest panel of initials evaluated since prepare() (1 = single-vector
+  /// evaluations only; 0 = nothing evaluated yet).
   std::size_t rhs_count = 0;
   /// Inner-loop id of the last evaluation: "csr-scalar" for the historical
   /// reference pass, or the dispatched linalg::SpmvKernel name
@@ -109,26 +126,28 @@ class TransientSolver {
                                  const std::vector<double>& rewards, double t);
 
   /// Expected accumulated reward  int_0^t r . pi(s) ds, evaluated exactly
-  /// through the uniformization series (no quadrature grid).
+  /// through the uniformization series (no quadrature grid): reward_curve()
+  /// over the one-point grid {t}.
   [[nodiscard]] double accumulated_reward(const std::vector<double>& initial,
                                           const std::vector<double>& rewards, double t);
 
   /// The reward curve r . pi(t_j) over an ascending (non-negative,
-  /// non-decreasing) time grid, stepping between points; `values` is resized
-  /// to the grid.  Returns the accumulated reward int_0^{t_back} r . pi(s) ds
-  /// — both measures ride the same vector iterations.
+  /// non-decreasing) time grid; `values` is resized to the grid.  Returns
+  /// the accumulated reward int_0^{t_back} r . pi(s) ds — both measures ride
+  /// the same vector iterations.  Under kAuto this is reward_curve_multi()
+  /// of the one initial, bit for bit.
   double reward_curve(const std::vector<double>& initial, const std::vector<double>& rewards,
                       const std::vector<double>& time_points, std::vector<double>& values);
 
   /// reward_curve for B initial distributions AT ONCE over the same chain,
-  /// grid and reward vector: the iterates advance as one column-major panel,
-  /// so every expansion term costs ONE sweep over the matrix instead of B
-  /// (diagnostics().matvec_count counts sweeps; rhs_count records B).
-  /// `curves[b][j]` receives r . pi_b(t_j); the return value is the per-b
-  /// accumulated reward.  Agreement with B sequential reward_curve calls is
-  /// documented at ~1e-12 (the panel kernel reduces in a different
-  /// association order).  Under TransientOptions::Kernel::kScalar the call
-  /// degrades to exactly those sequential solves (the reference mode).
+  /// grid and reward vector: the backward series is shared, so the call
+  /// costs as many sweeps as one curve (diagnostics().matvec_count counts
+  /// sweeps; rhs_count records B).  `curves[b][j]` receives r . pi_b(t_j);
+  /// the return value is the per-b accumulated reward.  Column b is bit-
+  /// identical to reward_curve(initials[b]) and to the same column of any
+  /// other panel.  Under TransientOptions::Kernel::kScalar the call degrades
+  /// to B sequential forward solves (the reference mode).  Throws
+  /// std::domain_error on an initial with no nonzero entry.
   std::vector<double> reward_curve_multi(const std::vector<std::vector<double>>& initials,
                                          const std::vector<double>& rewards,
                                          const std::vector<double>& time_points,
@@ -144,13 +163,15 @@ class TransientSolver {
   /// Number of prepare() calls served by the value-refresh fast path.
   [[nodiscard]] std::size_t structure_reuses() const noexcept { return reuses_; }
 
-  /// The SIMD kernel layer's own build/reuse counters (0 builds until the
-  /// first Kernel::kAuto evaluation — the layout compiles lazily).
+  /// The SIMD kernel layer's own build/reuse counters, summed over the two
+  /// layouts: P for distribution_at() and P^T for the curves (0 builds until
+  /// the first Kernel::kAuto evaluation — each layout compiles lazily, on
+  /// first use after a prepare()).
   [[nodiscard]] std::size_t kernel_structure_builds() const noexcept {
-    return kernel_.structure_builds();
+    return forward_.structure_builds() + backward_.structure_builds();
   }
   [[nodiscard]] std::size_t kernel_structure_reuses() const noexcept {
-    return kernel_.structure_reuses();
+    return forward_.structure_reuses() + backward_.structure_reuses();
   }
 
   /// Drop the cached matrix and scratch (counters are kept).
@@ -162,24 +183,20 @@ class TransientSolver {
   void poisson_window(double m);
 
   /// Advance `state` (a distribution) to time-offset dt ahead, accumulating
-  /// r . pi into *accumulated when non-null.  `state` is replaced by the
-  /// (renormalized) advanced distribution.
+  /// r . pi into *accumulated when non-null (kScalar only: the kAuto curves
+  /// take the backward series).  `state` is replaced by the (renormalized)
+  /// advanced distribution.
   void step(std::vector<double>& state, const std::vector<double>* rewards, double dt,
             double* accumulated);
 
-  /// Panel counterpart of step(): advance the column-major m-wide `panel`
-  /// (element (b, s) at panel[s*m + b], every column a distribution) by dt,
-  /// adding each column's accumulated reward into accumulated[0..m).
-  void step_panel(std::vector<double>& panel, std::size_t m, const std::vector<double>& rewards,
-                  double dt, double* accumulated);
+  /// Throws unless prepare() ran and the reward vector and grid are valid.
+  void check_curve_arguments(const std::vector<double>& rewards,
+                             const std::vector<double>& time_points) const;
 
-  /// out[b] = dot(panel column b, rewards), each column reduced in fixed
-  /// state order.
-  void panel_column_dots(const std::vector<double>& panel, std::size_t m,
-                         const std::vector<double>& rewards, std::vector<double>& out) const;
-
-  /// Compile (or value-refresh) kernel_ from the cached uniformized matrix.
-  void ensure_kernel();
+  /// Compile (or value-refresh) forward_ over P resp. backward_ over P^T
+  /// from the cached uniformized matrix.
+  void ensure_forward_kernel();
+  void ensure_backward_kernel();
 
   TransientOptions options_;
   TransientDiagnostics diagnostics_;
@@ -205,16 +222,21 @@ class TransientSolver {
   std::vector<double> accum_;
   std::vector<double> state_;
 
-  // SIMD kernel workspace over P (compiled lazily on the first kAuto step
-  // after a prepare(), so kScalar evaluations never pay the layout build)
-  // and the panel-stepping scratch.
-  linalg::SpmvKernel kernel_;
-  bool kernel_fresh_ = false;
-  std::vector<double> panel_term_;
-  std::vector<double> panel_next_;
-  std::vector<double> panel_accum_;
-  std::vector<double> panel_dots_;
-  std::vector<double> panel_sums_;
+  // SIMD kernel workspaces over P (x^T P, the forward step) and over P^T
+  // (P v, the backward series), each compiled lazily on its first kAuto use
+  // after a prepare(), so kScalar evaluations never pay a layout build.
+  linalg::SpmvKernel forward_;
+  linalg::SpmvKernel backward_;
+  bool forward_fresh_ = false;
+  bool backward_fresh_ = false;
+
+  // One-pass curve scratch: the initials' nonzeros (state, mass) per column
+  // and the series dots d_k for every column (element (k, b) at
+  // series_dots_[k*m + b]).
+  std::vector<std::size_t> support_offsets_;
+  std::vector<std::size_t> support_states_;
+  std::vector<double> support_mass_;
+  std::vector<double> series_dots_;
 
   std::size_t builds_ = 0;
   std::size_t reuses_ = 0;

@@ -79,15 +79,25 @@ void TransientSolver::prepare(const Ctmc& chain) {
 
   diagnostics_ = TransientDiagnostics{};
   diagnostics_.uniformization_rate = lambda_;
-  // The SIMD layout compiles lazily on the first kAuto evaluation; its own
-  // structure-reuse fast path makes the refresh allocation-free.
-  kernel_fresh_ = false;
+  // The SIMD layouts compile lazily on their first kAuto use; their own
+  // structure-reuse fast path refreshes values without a layout rebuild.
+  forward_fresh_ = false;
+  backward_fresh_ = false;
 }
 
-void TransientSolver::ensure_kernel() {
-  if (kernel_fresh_) return;
-  kernel_.compile(states_, states_, p_row_offsets_, p_col_indices_, p_values_);
-  kernel_fresh_ = true;
+void TransientSolver::ensure_forward_kernel() {
+  if (forward_fresh_) return;
+  forward_.compile(states_, states_, p_row_offsets_, p_col_indices_, p_values_);
+  forward_fresh_ = true;
+}
+
+void TransientSolver::ensure_backward_kernel() {
+  if (backward_fresh_) return;
+  // Compiled over P^T, the kernel's x^T A is the column-vector product P v.
+  const linalg::CsrMatrix p =
+      linalg::CsrMatrix::from_sorted(states_, states_, p_row_offsets_, p_col_indices_, p_values_);
+  backward_.compile(p.transposed());
+  backward_fresh_ = true;
 }
 
 void TransientSolver::reset() {
@@ -99,8 +109,10 @@ void TransientSolver::reset() {
   q_row_offsets_.clear();
   q_col_indices_.clear();
   weights_.clear();
-  kernel_.reset();
-  kernel_fresh_ = false;
+  forward_.reset();
+  backward_.reset();
+  forward_fresh_ = false;
+  backward_fresh_ = false;
   diagnostics_ = TransientDiagnostics{};
 }
 
@@ -184,36 +196,27 @@ void TransientSolver::step(std::vector<double>& state, const std::vector<double>
 
   term_ = state;
   accum_.assign(states_, 0.0);
-  double cumulative = 0.0;  // F(k): Poisson CDF over the (normalized) window
-  const bool use_kernel = options_.kernel == TransientOptions::Kernel::kAuto;
-  if (!use_kernel) diagnostics_.kernel = "csr-scalar";
   diagnostics_.rhs_count = std::max<std::size_t>(diagnostics_.rhs_count, 1);
-  if (use_kernel) {
+  if (options_.kernel == TransientOptions::Kernel::kAuto) {
     // SIMD path: one fused kernel call per expansion term performs the
-    // weight accumulation, the reward reduction AND the gather-form matvec
-    // (no zero-fill of next_, no per-row branch).
-    ensure_kernel();
-    diagnostics_.kernel = kernel_.kernel_name();
-    const double* r =
-        (accumulated != nullptr && rewards != nullptr) ? rewards->data() : nullptr;
+    // weight accumulation AND the gather-form matvec (no zero-fill of next_,
+    // no per-row branch).
+    ensure_forward_kernel();
+    diagnostics_.kernel = forward_.kernel_name();
     next_.resize(states_);
     for (std::size_t k = 0;; ++k) {
       const double weight = k >= left_ ? weights_[k - left_] : 0.0;
-      const bool last = k >= right_;
-      const double dot = last ? kernel_.reduce(term_.data(), weight, accum_.data(), r)
-                              : kernel_.step(term_.data(), next_.data(), weight,
-                                             accum_.data(), r);
-      cumulative += weight;
-      if (accumulated != nullptr) {
-        // int_0^dt Poisson(k; Lambda s) ds = (1 - F(k)) / Lambda.
-        const double survival = std::max(0.0, 1.0 - cumulative);
-        *accumulated += survival * dot / lambda_;
+      if (k >= right_) {
+        (void)forward_.reduce(term_.data(), weight, accum_.data(), nullptr);
+        break;
       }
-      if (last) break;
+      (void)forward_.step(term_.data(), next_.data(), weight, accum_.data(), nullptr);
       term_.swap(next_);
       ++diagnostics_.matvec_count;
     }
   } else {
+    diagnostics_.kernel = "csr-scalar";
+    double cumulative = 0.0;  // F(k): Poisson CDF over the (normalized) window
     for (std::size_t k = 0;; ++k) {
       if (k >= left_) {
         const double weight = weights_[k - left_];
@@ -249,81 +252,9 @@ void TransientSolver::step(std::vector<double>& state, const std::vector<double>
   state = accum_;
 }
 
-void TransientSolver::step_panel(std::vector<double>& panel, std::size_t m,
-                                 const std::vector<double>& rewards, double dt,
-                                 double* accumulated) {
-  if (dt <= 0.0) return;
-  if (lambda_ <= 0.0) {
-    panel_column_dots(panel, m, rewards, panel_dots_);
-    for (std::size_t b = 0; b < m; ++b) accumulated[b] += panel_dots_[b] * dt;
-    return;
-  }
-  poisson_window(lambda_ * dt);
-
-  panel_term_ = panel;
-  panel_accum_.assign(panel.size(), 0.0);
-  panel_next_.resize(panel.size());
-  panel_dots_.resize(m);
-  double cumulative = 0.0;
-  for (std::size_t k = 0;; ++k) {
-    const double weight = k >= left_ ? weights_[k - left_] : 0.0;
-    const bool last = k >= right_;
-    if (last) {
-      kernel_.reduce_panel(panel_term_.data(), m, weight, panel_accum_.data(), rewards.data(),
-                           panel_dots_.data());
-    } else {
-      kernel_.step_panel(panel_term_.data(), panel_next_.data(), m, weight,
-                         panel_accum_.data(), rewards.data(), panel_dots_.data());
-    }
-    cumulative += weight;
-    const double survival = std::max(0.0, 1.0 - cumulative);
-    for (std::size_t b = 0; b < m; ++b) accumulated[b] += survival * panel_dots_[b] / lambda_;
-    if (last) break;
-    panel_term_.swap(panel_next_);
-    ++diagnostics_.matvec_count;  // one SWEEP advances all m columns
-  }
-  // Per-column round-off/truncation guard, the panel counterpart of
-  // linalg::normalize_probability.
-  panel_sums_.assign(m, 0.0);
-  for (std::size_t s = 0; s < states_; ++s) {
-    const double* row = panel_accum_.data() + s * m;
-    for (std::size_t b = 0; b < m; ++b) panel_sums_[b] += row[b];
-  }
-  for (std::size_t b = 0; b < m; ++b) {
-    if (!(panel_sums_[b] > 0.0)) {
-      throw std::domain_error("TransientSolver: panel column has no probability mass");
-    }
-    panel_sums_[b] = 1.0 / panel_sums_[b];
-  }
-  for (std::size_t s = 0; s < states_; ++s) {
-    double* row = panel_accum_.data() + s * m;
-    for (std::size_t b = 0; b < m; ++b) row[b] *= panel_sums_[b];
-  }
-  panel = panel_accum_;
-}
-
-void TransientSolver::panel_column_dots(const std::vector<double>& panel, std::size_t m,
-                                        const std::vector<double>& rewards,
-                                        std::vector<double>& out) const {
-  out.assign(m, 0.0);
-  const double* x = panel.data();
-  for (std::size_t b = 0; b < m; ++b) {
-    double acc = 0.0;
-    for (std::size_t s = 0; s < rewards.size(); ++s) acc += x[s * m + b] * rewards[s];
-    out[b] = acc;
-  }
-}
-
-std::vector<double> TransientSolver::reward_curve_multi(
-    const std::vector<std::vector<double>>& initials, const std::vector<double>& rewards,
-    const std::vector<double>& time_points, std::vector<std::vector<double>>& curves) {
+void TransientSolver::check_curve_arguments(const std::vector<double>& rewards,
+                                            const std::vector<double>& time_points) const {
   if (!prepared()) throw std::logic_error("TransientSolver: prepare() has not run");
-  if (initials.empty()) throw std::invalid_argument("TransientSolver: empty panel");
-  for (const std::vector<double>& initial : initials) {
-    if (initial.size() != states_) {
-      throw std::invalid_argument("TransientSolver: initial size mismatch");
-    }
-  }
   if (rewards.size() != states_) {
     throw std::invalid_argument("TransientSolver: reward size mismatch");
   }
@@ -334,44 +265,110 @@ std::vector<double> TransientSolver::reward_curve_multi(
     if (t < previous) throw std::invalid_argument("TransientSolver: time grid must be ascending");
     previous = t;
   }
+}
 
+std::vector<double> TransientSolver::reward_curve_multi(
+    const std::vector<std::vector<double>>& initials, const std::vector<double>& rewards,
+    const std::vector<double>& time_points, std::vector<std::vector<double>>& curves) {
+  check_curve_arguments(rewards, time_points);
+  if (initials.empty()) throw std::invalid_argument("TransientSolver: empty panel");
+  for (const std::vector<double>& initial : initials) {
+    if (initial.size() != states_) {
+      throw std::invalid_argument("TransientSolver: initial size mismatch");
+    }
+  }
   const std::size_t m = initials.size();
   std::vector<double> accumulated(m, 0.0);
   curves.assign(m, std::vector<double>(time_points.size(), 0.0));
 
   if (options_.kernel == TransientOptions::Kernel::kScalar) {
-    // Reference mode: the panel degrades to sequential single-vector curves
-    // (each one the bit-exact historical trajectory).
-    std::vector<double> values;
+    // Reference mode: sequential forward curves (each one the bit-exact
+    // historical trajectory).
     for (std::size_t b = 0; b < m; ++b) {
-      accumulated[b] = reward_curve(initials[b], rewards, time_points, values);
-      curves[b] = values;
+      accumulated[b] = reward_curve(initials[b], rewards, time_points, curves[b]);
     }
     return accumulated;
   }
 
   const auto start = Clock::now();
-  ensure_kernel();
-  diagnostics_.kernel = kernel_.kernel_name();
   diagnostics_.rhs_count = std::max(diagnostics_.rhs_count, m);
 
-  // Interleave the initials into the column-major panel: element (b, s) at
-  // panel[s*m + b], so the kernel's per-entry FMA runs over contiguous RHSes.
-  panel_next_.resize(states_ * m);  // borrowed as the interleave target
-  for (std::size_t b = 0; b < m; ++b) {
-    for (std::size_t s = 0; s < states_; ++s) panel_next_[s * m + b] = initials[b][s];
+  // The initials' nonzeros in state order: point masses in every caller, so
+  // each d_k costs a handful of loads instead of a dense dot.
+  support_offsets_.assign(1, 0);
+  support_states_.clear();
+  support_mass_.clear();
+  for (const std::vector<double>& initial : initials) {
+    for (std::size_t s = 0; s < states_; ++s) {
+      if (initial[s] == 0.0) continue;
+      support_states_.push_back(s);
+      support_mass_.push_back(initial[s]);
+    }
+    if (support_states_.size() == support_offsets_.back()) {
+      throw std::domain_error("TransientSolver: initial distribution has no mass");
+    }
+    support_offsets_.push_back(support_states_.size());
   }
-  std::vector<double> panel = std::move(panel_next_);
-  panel_next_ = std::vector<double>();
 
-  previous = 0.0;
-  for (std::size_t j = 0; j < time_points.size(); ++j) {
-    step_panel(panel, m, rewards, time_points[j] - previous, accumulated.data());
-    panel_column_dots(panel, m, rewards, panel_dots_);
-    for (std::size_t b = 0; b < m; ++b) curves[b][j] = panel_dots_[b];
-    previous = time_points[j];
+  // The horizon's window sets the series length and weighs the accumulated
+  // reward.
+  poisson_window(lambda_ * time_points.back());
+  const std::size_t last_term = right_;
+  if (last_term > options_.max_terms) {
+    throw std::runtime_error(
+        "uniformization: the reward series exceeds max_terms; raise TransientOptions::max_terms "
+        "(Lambda*t is too large for the configured expansion length)");
   }
-  panel_next_ = std::move(panel);  // hand the buffer back to the workspace
+
+  // The backward series v_0 = r, v_{k+1} = P v_k, reduced against every
+  // initial as it goes: d_k for column b at series_dots_[k*m + b].
+  ensure_backward_kernel();
+  diagnostics_.kernel = backward_.kernel_name();
+  series_dots_.resize((last_term + 1) * m);
+  term_ = rewards;
+  for (std::size_t k = 0;; ++k) {
+    for (std::size_t b = 0; b < m; ++b) {
+      double dot = 0.0;
+      for (std::size_t i = support_offsets_[b]; i < support_offsets_[b + 1]; ++i) {
+        dot += support_mass_[i] * term_[support_states_[i]];
+      }
+      series_dots_[k * m + b] = dot;
+    }
+    if (k == last_term) break;
+    backward_.left_multiply(term_, next_);
+    term_.swap(next_);
+    ++diagnostics_.matvec_count;
+  }
+
+  if (lambda_ <= 0.0) {
+    // No transitions anywhere: the reward rate is frozen at d_0.
+    for (std::size_t b = 0; b < m; ++b) accumulated[b] = series_dots_[b] * time_points.back();
+  } else {
+    // int_0^t_last Poisson(k; Lambda s) ds = (1 - F(k)) / Lambda.
+    double cumulative = 0.0;
+    for (std::size_t k = 0; k <= last_term; ++k) {
+      if (k >= left_) cumulative += weights_[k - left_];
+      const double survival = std::max(0.0, 1.0 - cumulative);
+      for (std::size_t b = 0; b < m; ++b) {
+        accumulated[b] += survival * series_dots_[k * m + b] / lambda_;
+      }
+    }
+  }
+
+  // Each grid point mixes the stored d_k with its own window, the horizon's
+  // last so the diagnostics keep describing it.  An earlier point's window
+  // never reaches past the horizon's right point; the min guards round-off.
+  for (std::size_t j = 0; j < time_points.size(); ++j) {
+    poisson_window(lambda_ * time_points[j]);
+    const std::size_t right = std::min(right_, last_term);
+    for (std::size_t b = 0; b < m; ++b) {
+      double value = 0.0;
+      for (std::size_t k = left_; k <= right; ++k) {
+        value += weights_[k - left_] * series_dots_[k * m + b];
+      }
+      curves[b][j] = value;
+    }
+  }
   diagnostics_.wall_time_seconds += seconds_since(start);
   return accumulated;
 }
@@ -400,40 +397,29 @@ double TransientSolver::reward_at(const std::vector<double>& initial,
 
 double TransientSolver::accumulated_reward(const std::vector<double>& initial,
                                            const std::vector<double>& rewards, double t) {
-  if (!prepared()) throw std::logic_error("TransientSolver: prepare() has not run");
-  if (initial.size() != states_ || rewards.size() != states_) {
-    throw std::invalid_argument("TransientSolver: initial/reward size mismatch");
-  }
-  if (t < 0.0) throw std::invalid_argument("TransientSolver: negative horizon");
-  const auto start = Clock::now();
-  state_ = initial;
-  double accumulated = 0.0;
-  step(state_, &rewards, t, &accumulated);
-  diagnostics_.wall_time_seconds += seconds_since(start);
-  return accumulated;
+  std::vector<double> values;
+  return reward_curve(initial, rewards, {t}, values);
 }
 
 double TransientSolver::reward_curve(const std::vector<double>& initial,
                                      const std::vector<double>& rewards,
                                      const std::vector<double>& time_points,
                                      std::vector<double>& values) {
-  if (!prepared()) throw std::logic_error("TransientSolver: prepare() has not run");
-  if (initial.size() != states_ || rewards.size() != states_) {
-    throw std::invalid_argument("TransientSolver: initial/reward size mismatch");
+  if (options_.kernel == TransientOptions::Kernel::kAuto) {
+    std::vector<std::vector<double>> curves;
+    const double accumulated = reward_curve_multi({initial}, rewards, time_points, curves)[0];
+    values = std::move(curves[0]);
+    return accumulated;
   }
-  if (time_points.empty()) throw std::invalid_argument("TransientSolver: empty time grid");
+  check_curve_arguments(rewards, time_points);
+  if (initial.size() != states_) {
+    throw std::invalid_argument("TransientSolver: initial size mismatch");
+  }
   const auto start = Clock::now();
-  double previous = 0.0;
-  for (double t : time_points) {
-    if (t < 0.0) throw std::invalid_argument("TransientSolver: negative time point");
-    if (t < previous) throw std::invalid_argument("TransientSolver: time grid must be ascending");
-    previous = t;
-  }
-
   values.resize(time_points.size());
   state_ = initial;
   double accumulated = 0.0;
-  previous = 0.0;
+  double previous = 0.0;
   for (std::size_t j = 0; j < time_points.size(); ++j) {
     step(state_, &rewards, time_points[j] - previous, &accumulated);
     values[j] = linalg::dot(state_, rewards);

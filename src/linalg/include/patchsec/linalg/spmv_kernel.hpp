@@ -3,7 +3,7 @@
 /// \brief SIMD sparse matrix-vector kernel workspace for the uniformization
 /// hot path: a CsrMatrix compiled once per sparsity structure into a
 /// SELL-8 (sliced-ELLPACK, chunk height 8, sigma = 1) layout of the
-/// TRANSPOSE with 32-bit column indices, plus a multi-RHS panel kernel.
+/// TRANSPOSE with 32-bit column indices.
 ///
 /// Why the transpose: the probability iterates of uniformization advance by
 /// y = x^T P (row-vector times matrix), which in CSR row order is a SCATTER
@@ -14,7 +14,9 @@
 /// horizontal reduction is paid per row and ragged rows cost only zero
 /// padding (value 0, column 0 — harmless to read).  Column indices are
 /// 32-bit, halving index traffic and matching the AVX2/AVX-512 gather
-/// instructions' index vectors exactly.
+/// instructions' index vectors exactly.  Compiled over P^T instead, the same
+/// kernel computes the column-vector product P·v — the backward reward
+/// series of ctmc::TransientSolver's curve routes.
 ///
 /// The inner loop is runtime-dispatched: an AVX-512F path (8 lanes), an
 /// AVX2+FMA path (4 lanes) and a portable scalar pass over the same SELL
@@ -23,20 +25,12 @@
 /// CsrMatrix::left_multiply).  Dispatch is decided once per process from
 /// CPUID, never per call.
 ///
-/// The multi-RHS panel kernel advances m initial conditions per sweep over
-/// the matrix: the panel is column-major in the RHS index (element (j, s) of
-/// the m x n panel lives at x[s*m + j]), so every matrix entry issues one
-/// CONTIGUOUS m-wide FMA — vectorization across the RHS dimension is
-/// structure-independent, and the matrix's index/value traffic is paid once
-/// per sweep instead of once per initial condition.  This is the shape of a
-/// design sweep's patch-wave curves (ctmc::TransientSolver::
-/// reward_curve_multi → avail::transient_coa_batch).
-///
-/// Both kernels exist in a FUSED form (step/step_panel) that folds the two
-/// other dense passes of a uniformization step — the Poisson-weight
+/// The matvec also exists in a FUSED form (step) that folds the two other
+/// dense passes of a forward uniformization step — the Poisson-weight
 /// accumulation accum += w * x and the reward reduction dot(x, r) — into the
-/// same traversal, saving two full passes over the iterate per expansion
-/// term.
+/// same call, saving two full passes over the iterate per expansion term.
+/// The SIMD reductions use one fma per element in the vector body and the
+/// scalar tail alike, so their results do not depend on buffer alignment.
 ///
 /// An SpmvKernel is a workspace in the StationarySolver/TransientSolver
 /// mold: compile() with a structurally identical matrix refreshes values in
@@ -119,24 +113,6 @@ class SpmvKernel {
   /// accumulation and the reduction but no further power).
   double reduce(const double* x, double weight, double* accum, const double* r) const;
 
-  /// Panel forms over m interleaved right-hand sides (column-major panel:
-  /// element (j, s) at x[s*m + j]; x spans rows()*m, y cols()*m).  One sweep
-  /// over the matrix advances all m vectors.
-  void left_multiply_panel(const double* x, double* y, std::size_t m) const;
-
-  /// Fused panel step: Y = X^T A per lane, accum += weight * X (when accum
-  /// non-null; a weight of exactly 0 skips the update like step()), and
-  /// dots[j] = dot(X_j, r) for every panel column (when r and dots non-null;
-  /// dots is overwritten, not accumulated).  On square matrices all three
-  /// run in ONE traversal of the panel — the x block of each state is loaded
-  /// once for the accumulate and the dot, instead of three separate passes.
-  void step_panel(const double* x, double* y, std::size_t m, double weight, double* accum,
-                  const double* r, double* dots) const;
-
-  /// Panel counterpart of reduce().
-  void reduce_panel(const double* x, std::size_t m, double weight, double* accum,
-                    const double* r, double* dots) const;
-
   /// Drop the compiled layout (counters are kept).
   void reset();
 
@@ -168,8 +144,8 @@ class SpmvKernel {
   std::vector<std::uint32_t> sell_cols_;
   std::vector<double> sell_values_;
 
-  // Plain CSR of A^T (32-bit) for the panel kernel, whose vectorization axis
-  // is the RHS dimension, so a row-at-a-time walk is the right shape.
+  // Plain CSR of A^T (32-bit): the staging of the SELL fill and the scatter
+  // map of the value refresh.
   std::vector<std::uint32_t> t_row_offsets_;
   std::vector<std::uint32_t> t_col_indices_;
   std::vector<double> t_values_;

@@ -1,7 +1,7 @@
 #include "patchsec/linalg/spmv_kernel.hpp"
 
 #include <algorithm>
-#include <cstring>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 
@@ -29,14 +29,6 @@ struct SellView {
   const double* vals;
   std::size_t chunks;
   std::size_t n;  // output rows (= cols of A)
-};
-
-/// Borrowed view of the plain 32-bit CSR of A^T for the panel variants.
-struct TcsrView {
-  const std::uint32_t* offsets;
-  const std::uint32_t* cols;
-  const double* vals;
-  std::size_t n;  // rows of A^T (= cols of A)
 };
 
 // ---------------------------------------------------------------------------
@@ -77,61 +69,20 @@ double fused_reduce_scalar(const double* x, std::size_t n, double weight, double
   return dot;
 }
 
-void panel_multiply_scalar(const TcsrView& t, const double* x, double* y, std::size_t m) {
-  for (std::size_t s = 0; s < t.n; ++s) {
-    double* ys = y + s * m;
-    std::memset(ys, 0, m * sizeof(double));
-    for (std::uint32_t k = t.offsets[s]; k < t.offsets[s + 1]; ++k) {
-      const double v = t.vals[k];
-      const double* xc = x + std::size_t{t.cols[k]} * m;
-      for (std::size_t j = 0; j < m; ++j) ys[j] += v * xc[j];
-    }
-  }
-}
-
-void panel_step_scalar(const TcsrView& t, const double* x, double* y, std::size_t m,
-                       double weight, double* accum, const double* r, double* dots) {
-  const bool do_accum = accum != nullptr && weight != 0.0;
-  const bool do_dots = r != nullptr && dots != nullptr;
-  if (do_dots) std::memset(dots, 0, m * sizeof(double));
-  for (std::size_t s = 0; s < t.n; ++s) {
-    double* ys = y + s * m;
-    std::memset(ys, 0, m * sizeof(double));
-    for (std::uint32_t k = t.offsets[s]; k < t.offsets[s + 1]; ++k) {
-      const double v = t.vals[k];
-      const double* xc = x + std::size_t{t.cols[k]} * m;
-      for (std::size_t j = 0; j < m; ++j) ys[j] += v * xc[j];
-    }
-    const double* xs = x + s * m;
-    if (do_accum) {
-      double* as = accum + s * m;
-      for (std::size_t j = 0; j < m; ++j) as[j] += weight * xs[j];
-    }
-    if (do_dots) {
-      const double rs = r[s];
-      for (std::size_t j = 0; j < m; ++j) dots[j] += rs * xs[j];
-    }
-  }
-}
-
-void panel_reduce_scalar(const double* x, std::size_t n, std::size_t m, double weight,
-                         double* accum, const double* r, double* dots) {
-  if (weight == 0.0) accum = nullptr;  // below-window term: accum += 0*x is a no-op
-  if (accum != nullptr) {
-    const std::size_t total = n * m;
-    for (std::size_t i = 0; i < total; ++i) accum[i] += weight * x[i];
-  }
-  if (r != nullptr && dots != nullptr) {
-    std::memset(dots, 0, m * sizeof(double));
-    for (std::size_t s = 0; s < n; ++s) {
-      const double rs = r[s];
-      const double* xs = x + s * m;
-      for (std::size_t j = 0; j < m; ++j) dots[j] += rs * xs[j];
-    }
-  }
-}
-
 #if PATCHSEC_X86_SIMD
+
+// The scalar tail [s, n) of the SIMD fused reductions, with the vector body's
+// arithmetic: one explicit fma per element.  Left as `accum[s] += weight *
+// x[s]`, GCC vectorizes this loop under the caller's target attribute with
+// an address-dependent peel, contracting some elements to an fma and not
+// others, so the last ulp would follow heap alignment.
+inline void fused_reduce_tail(const double* x, std::size_t s, std::size_t n, double weight,
+                              double* accum, const double* r, double& dot) {
+  for (; s < n; ++s) {
+    if (accum != nullptr) accum[s] = std::fma(weight, x[s], accum[s]);
+    if (r != nullptr) dot = std::fma(x[s], r[s], dot);
+  }
+}
 
 // ---------------------------------------------------------------------------
 // AVX2+FMA variants: 4 doubles per vector; a SELL chunk is two half-chunks.
@@ -193,128 +144,12 @@ __attribute__((target("avx2,fma"))) double fused_reduce_avx2(const double* x, st
   double lanes[4];
   _mm256_storeu_pd(lanes, dacc);
   double dot = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-  for (; s < n; ++s) {
-    if (accum != nullptr) accum[s] += weight * x[s];
-    if (r != nullptr) dot += x[s] * r[s];
-  }
+  fused_reduce_tail(x, s, n, weight, accum, r, dot);
   return dot;
 }
 
-__attribute__((target("avx2,fma"))) void panel_multiply_avx2(const TcsrView& t, const double* x,
-                                                             double* y, std::size_t m) {
-  for (std::size_t jb = 0; jb < m; jb += 4) {
-    const std::size_t jw = std::min<std::size_t>(4, m - jb);
-    for (std::size_t s = 0; s < t.n; ++s) {
-      double* ys = y + s * m + jb;
-      if (jw == 4) {
-        __m256d acc = _mm256_setzero_pd();
-        for (std::uint32_t k = t.offsets[s]; k < t.offsets[s + 1]; ++k) {
-          const __m256d vv = _mm256_set1_pd(t.vals[k]);
-          acc = _mm256_fmadd_pd(vv, _mm256_loadu_pd(x + std::size_t{t.cols[k]} * m + jb), acc);
-        }
-        _mm256_storeu_pd(ys, acc);
-      } else {
-        double acc[3] = {0.0, 0.0, 0.0};
-        for (std::uint32_t k = t.offsets[s]; k < t.offsets[s + 1]; ++k) {
-          const double v = t.vals[k];
-          const double* xc = x + std::size_t{t.cols[k]} * m + jb;
-          for (std::size_t j = 0; j < jw; ++j) acc[j] += v * xc[j];
-        }
-        for (std::size_t j = 0; j < jw; ++j) ys[j] = acc[j];
-      }
-    }
-  }
-}
-
-// Fused panel step: y = x·P, accum += w·x and the per-column reward dots in
-// ONE traversal of the panel (three passes collapse into one; the x block of
-// row s is loaded once for both reduction uses).  Full RHS blocks keep the
-// dot accumulator in a register; the tail block falls back to scalar code.
-__attribute__((target("avx2,fma"))) void panel_step_avx2(const TcsrView& t, const double* x,
-                                                         double* y, std::size_t m, double weight,
-                                                         double* accum, const double* r,
-                                                         double* dots) {
-  const __m256d wv = _mm256_set1_pd(weight);
-  const bool do_accum = accum != nullptr && weight != 0.0;
-  const bool do_dots = r != nullptr && dots != nullptr;
-  for (std::size_t jb = 0; jb < m; jb += 4) {
-    const std::size_t jw = std::min<std::size_t>(4, m - jb);
-    if (jw == 4) {
-      __m256d dacc = _mm256_setzero_pd();
-      for (std::size_t s = 0; s < t.n; ++s) {
-        __m256d acc = _mm256_setzero_pd();
-        for (std::uint32_t k = t.offsets[s]; k < t.offsets[s + 1]; ++k) {
-          const __m256d vv = _mm256_set1_pd(t.vals[k]);
-          acc = _mm256_fmadd_pd(vv, _mm256_loadu_pd(x + std::size_t{t.cols[k]} * m + jb), acc);
-        }
-        _mm256_storeu_pd(y + s * m + jb, acc);
-        const __m256d xv = _mm256_loadu_pd(x + s * m + jb);
-        if (do_accum) {
-          double* as = accum + s * m + jb;
-          _mm256_storeu_pd(as, _mm256_fmadd_pd(wv, xv, _mm256_loadu_pd(as)));
-        }
-        if (do_dots) dacc = _mm256_fmadd_pd(_mm256_set1_pd(r[s]), xv, dacc);
-      }
-      if (do_dots) _mm256_storeu_pd(dots + jb, dacc);
-    } else {
-      if (do_dots) {
-        for (std::size_t j = 0; j < jw; ++j) dots[jb + j] = 0.0;
-      }
-      for (std::size_t s = 0; s < t.n; ++s) {
-        double acc[3] = {0.0, 0.0, 0.0};
-        for (std::uint32_t k = t.offsets[s]; k < t.offsets[s + 1]; ++k) {
-          const double v = t.vals[k];
-          const double* xc = x + std::size_t{t.cols[k]} * m + jb;
-          for (std::size_t j = 0; j < jw; ++j) acc[j] += v * xc[j];
-        }
-        const double* xs = x + s * m + jb;
-        double* ys = y + s * m + jb;
-        for (std::size_t j = 0; j < jw; ++j) ys[j] = acc[j];
-        if (do_accum) {
-          double* as = accum + s * m + jb;
-          for (std::size_t j = 0; j < jw; ++j) as[j] += weight * xs[j];
-        }
-        if (do_dots) {
-          for (std::size_t j = 0; j < jw; ++j) dots[jb + j] += r[s] * xs[j];
-        }
-      }
-    }
-  }
-}
-
-__attribute__((target("avx2,fma"))) void panel_reduce_avx2(const double* x, std::size_t n,
-                                                           std::size_t m, double weight,
-                                                           double* accum, const double* r,
-                                                           double* dots) {
-  if (weight == 0.0) accum = nullptr;  // below-window term: accum += 0*x is a no-op
-  if (accum != nullptr) {
-    const __m256d wv = _mm256_set1_pd(weight);
-    const std::size_t total = n * m;
-    std::size_t i = 0;
-    for (; i + 4 <= total; i += 4) {
-      _mm256_storeu_pd(accum + i,
-                       _mm256_fmadd_pd(wv, _mm256_loadu_pd(x + i), _mm256_loadu_pd(accum + i)));
-    }
-    for (; i < total; ++i) accum[i] += weight * x[i];
-  }
-  if (r != nullptr && dots != nullptr) {
-    std::memset(dots, 0, m * sizeof(double));
-    for (std::size_t s = 0; s < n; ++s) {
-      const __m256d rv = _mm256_set1_pd(r[s]);
-      const double* xs = x + s * m;
-      std::size_t j = 0;
-      for (; j + 4 <= m; j += 4) {
-        _mm256_storeu_pd(dots + j,
-                         _mm256_fmadd_pd(rv, _mm256_loadu_pd(xs + j), _mm256_loadu_pd(dots + j)));
-      }
-      for (; j < m; ++j) dots[j] += r[s] * xs[j];
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
-// AVX-512F variants: 8 doubles per vector; one vector per SELL chunk, masked
-// tails on the panel's RHS dimension.
+// AVX-512F variants: 8 doubles per vector; one vector per SELL chunk.
 // ---------------------------------------------------------------------------
 
 __attribute__((target("avx512f"))) void sell_multiply_avx512(const SellView& a, const double* x,
@@ -362,90 +197,8 @@ __attribute__((target("avx512f"))) double fused_reduce_avx512(const double* x, s
   _mm512_storeu_pd(lanes, dacc);
   double dot = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) +
                ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
-  for (; s < n; ++s) {
-    if (accum != nullptr) accum[s] += weight * x[s];
-    if (r != nullptr) dot += x[s] * r[s];
-  }
+  fused_reduce_tail(x, s, n, weight, accum, r, dot);
   return dot;
-}
-
-__attribute__((target("avx512f"))) void panel_multiply_avx512(const TcsrView& t, const double* x,
-                                                              double* y, std::size_t m) {
-  for (std::size_t jb = 0; jb < m; jb += 8) {
-    const std::size_t jw = std::min<std::size_t>(8, m - jb);
-    const __mmask8 mask = static_cast<__mmask8>((jw == 8) ? 0xffu : ((1u << jw) - 1u));
-    for (std::size_t s = 0; s < t.n; ++s) {
-      __m512d acc = _mm512_setzero_pd();
-      for (std::uint32_t k = t.offsets[s]; k < t.offsets[s + 1]; ++k) {
-        const __m512d vv = _mm512_set1_pd(t.vals[k]);
-        const __m512d xv = _mm512_maskz_loadu_pd(mask, x + std::size_t{t.cols[k]} * m + jb);
-        acc = _mm512_fmadd_pd(vv, xv, acc);
-      }
-      _mm512_mask_storeu_pd(y + s * m + jb, mask, acc);
-    }
-  }
-}
-
-// Fused panel step, AVX-512 flavour of panel_step_avx2 (full 8-wide RHS
-// blocks in registers, masked loads/stores on the tail block).
-__attribute__((target("avx512f"))) void panel_step_avx512(const TcsrView& t, const double* x,
-                                                          double* y, std::size_t m, double weight,
-                                                          double* accum, const double* r,
-                                                          double* dots) {
-  const __m512d wv = _mm512_set1_pd(weight);
-  const bool do_accum = accum != nullptr && weight != 0.0;
-  const bool do_dots = r != nullptr && dots != nullptr;
-  for (std::size_t jb = 0; jb < m; jb += 8) {
-    const std::size_t jw = std::min<std::size_t>(8, m - jb);
-    const __mmask8 mask = static_cast<__mmask8>((jw == 8) ? 0xffu : ((1u << jw) - 1u));
-    __m512d dacc = _mm512_setzero_pd();
-    for (std::size_t s = 0; s < t.n; ++s) {
-      __m512d acc = _mm512_setzero_pd();
-      for (std::uint32_t k = t.offsets[s]; k < t.offsets[s + 1]; ++k) {
-        const __m512d vv = _mm512_set1_pd(t.vals[k]);
-        const __m512d xv = _mm512_maskz_loadu_pd(mask, x + std::size_t{t.cols[k]} * m + jb);
-        acc = _mm512_fmadd_pd(vv, xv, acc);
-      }
-      _mm512_mask_storeu_pd(y + s * m + jb, mask, acc);
-      const __m512d xv = _mm512_maskz_loadu_pd(mask, x + s * m + jb);
-      if (do_accum) {
-        double* as = accum + s * m + jb;
-        _mm512_mask_storeu_pd(as, mask, _mm512_fmadd_pd(wv, xv, _mm512_maskz_loadu_pd(mask, as)));
-      }
-      if (do_dots) dacc = _mm512_fmadd_pd(_mm512_set1_pd(r[s]), xv, dacc);
-    }
-    if (do_dots) _mm512_mask_storeu_pd(dots + jb, mask, dacc);
-  }
-}
-
-__attribute__((target("avx512f"))) void panel_reduce_avx512(const double* x, std::size_t n,
-                                                            std::size_t m, double weight,
-                                                            double* accum, const double* r,
-                                                            double* dots) {
-  if (weight == 0.0) accum = nullptr;  // below-window term: accum += 0*x is a no-op
-  if (accum != nullptr) {
-    const __m512d wv = _mm512_set1_pd(weight);
-    const std::size_t total = n * m;
-    std::size_t i = 0;
-    for (; i + 8 <= total; i += 8) {
-      _mm512_storeu_pd(accum + i,
-                       _mm512_fmadd_pd(wv, _mm512_loadu_pd(x + i), _mm512_loadu_pd(accum + i)));
-    }
-    for (; i < total; ++i) accum[i] += weight * x[i];
-  }
-  if (r != nullptr && dots != nullptr) {
-    std::memset(dots, 0, m * sizeof(double));
-    for (std::size_t s = 0; s < n; ++s) {
-      const __m512d rv = _mm512_set1_pd(r[s]);
-      const double* xs = x + s * m;
-      std::size_t j = 0;
-      for (; j + 8 <= m; j += 8) {
-        _mm512_storeu_pd(dots + j,
-                         _mm512_fmadd_pd(rv, _mm512_loadu_pd(xs + j), _mm512_loadu_pd(dots + j)));
-      }
-      for (; j < m; ++j) dots[j] += r[s] * xs[j];
-    }
-  }
 }
 
 #endif  // PATCHSEC_X86_SIMD
@@ -521,9 +274,9 @@ void SpmvKernel::build_layout(std::size_t rows, std::size_t cols,
   a_row_offsets_.assign(row_offsets.begin(), row_offsets.end());
   a_col_indices_.assign(col_indices.begin(), col_indices.end());
 
-  // Counting transpose into the plain 32-bit CSR of A^T (the panel kernel's
-  // storage and the source of the SELL fill below).  Source rows are walked
-  // in ascending order, so each transpose row comes out sorted.
+  // Counting transpose into the plain 32-bit CSR of A^T (the source of the
+  // SELL fill below and of the value refresh).  Source rows are walked in
+  // ascending order, so each transpose row comes out sorted.
   t_row_offsets_.assign(cols_ + 1, 0);
   for (std::uint32_t c : a_col_indices_) ++t_row_offsets_[c + 1];
   for (std::size_t s = 0; s < cols_; ++s) t_row_offsets_[s + 1] += t_row_offsets_[s];
@@ -652,70 +405,6 @@ double SpmvKernel::reduce(const double* x, double weight, double* accum, const d
   }
 #endif
   return fused_reduce_scalar(x, rows_, weight, accum, r);
-}
-
-void SpmvKernel::left_multiply_panel(const double* x, double* y, std::size_t m) const {
-  if (!compiled()) throw std::logic_error("SpmvKernel: compile() has not run");
-  if (m == 0) throw std::invalid_argument("SpmvKernel: empty panel");
-  const TcsrView view{t_row_offsets_.data(), t_col_indices_.data(), t_values_.data(), cols_};
-#if PATCHSEC_X86_SIMD
-  switch (isa_) {
-    case SpmvIsa::kAvx512:
-      panel_multiply_avx512(view, x, y, m);
-      return;
-    case SpmvIsa::kAvx2:
-      panel_multiply_avx2(view, x, y, m);
-      return;
-    case SpmvIsa::kScalar:
-      break;
-  }
-#endif
-  panel_multiply_scalar(view, x, y, m);
-}
-
-void SpmvKernel::step_panel(const double* x, double* y, std::size_t m, double weight,
-                            double* accum, const double* r, double* dots) const {
-  if (!compiled()) throw std::logic_error("SpmvKernel: compile() has not run");
-  if (m == 0) throw std::invalid_argument("SpmvKernel: empty panel");
-  if (rows_ != cols_) {
-    // The fused single pass walks output rows while reducing the input block
-    // of the same index — only coherent on square matrices (the solver's
-    // case).  Rectangular panels take the two-pass route.
-    reduce_panel(x, m, weight, accum, r, dots);
-    left_multiply_panel(x, y, m);
-    return;
-  }
-  const TcsrView view{t_row_offsets_.data(), t_col_indices_.data(), t_values_.data(), cols_};
-#if PATCHSEC_X86_SIMD
-  switch (isa_) {
-    case SpmvIsa::kAvx512:
-      panel_step_avx512(view, x, y, m, weight, accum, r, dots);
-      return;
-    case SpmvIsa::kAvx2:
-      panel_step_avx2(view, x, y, m, weight, accum, r, dots);
-      return;
-    case SpmvIsa::kScalar:
-      break;
-  }
-#endif
-  panel_step_scalar(view, x, y, m, weight, accum, r, dots);
-}
-
-void SpmvKernel::reduce_panel(const double* x, std::size_t m, double weight, double* accum,
-                              const double* r, double* dots) const {
-#if PATCHSEC_X86_SIMD
-  switch (isa_) {
-    case SpmvIsa::kAvx512:
-      panel_reduce_avx512(x, rows_, m, weight, accum, r, dots);
-      return;
-    case SpmvIsa::kAvx2:
-      panel_reduce_avx2(x, rows_, m, weight, accum, r, dots);
-      return;
-    case SpmvIsa::kScalar:
-      break;
-  }
-#endif
-  panel_reduce_scalar(x, rows_, m, weight, accum, r, dots);
 }
 
 }  // namespace patchsec::linalg

@@ -84,7 +84,11 @@ struct ServiceReply {
   core::EvalReport report;
   ReplySource source = ReplySource::kSolve;
   std::uint64_t key = 0;              ///< the request's cache key.
-  double queue_wait_seconds = 0.0;    ///< submit → worker claim (0 for kCache).
+  /// Time this request spent queued: submit → worker claim, never
+  /// negative.  A kCoalesced waiter that joined while the solve already ran
+  /// waited 0 in the queue (its wait is max(claim, submit) - submit); a
+  /// kCache reply has 0.
+  double queue_wait_seconds = 0.0;
   double solve_seconds = 0.0;         ///< wall time of the solve (0 for kCache).
   std::size_t batch_width = 1;        ///< panel width the solve rode in.
 };

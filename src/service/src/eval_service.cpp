@@ -1,5 +1,6 @@
 #include "patchsec/service/eval_service.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -247,7 +248,9 @@ void EvalService::fulfill(std::uint64_t key, const core::EvalReport& report,
     reply.report = report;
     reply.source = first ? ReplySource::kSolve : ReplySource::kCoalesced;
     reply.key = key;
-    reply.queue_wait_seconds = seconds_between(waiter.submitted, claimed);
+    // A joiner that arrived after the claim never waited in the queue.
+    reply.queue_wait_seconds =
+        seconds_between(waiter.submitted, std::max(claimed, waiter.submitted));
     reply.solve_seconds = solve_seconds;
     reply.batch_width = batch_width;
     waiter.promise.set_value(std::move(reply));

@@ -125,8 +125,8 @@ void append_engine_options(HashStream& h, const core::EngineOptions& engine) {
   h.u64(engine.time_points.size());
   for (double t : engine.time_points) h.f64(t);
   h.u64(engine.transient_points);
-  // Uniformization truncation + kernel selector (kAuto's panel path differs
-  // from kScalar at the ulp level).
+  // Uniformization truncation + kernel selector (kAuto's one-pass series
+  // differs from kScalar at the round-off level).
   h.f64(engine.uniformization.epsilon);
   h.u64(engine.uniformization.max_terms);
   h.u8(static_cast<std::uint8_t>(engine.uniformization.kernel));

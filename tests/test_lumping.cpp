@@ -677,6 +677,31 @@ TEST(Factored, FiftyServersPerTierEvaluatesExactly) {
   EXPECT_NEAR(curve.curve.back().coa, lumped.coa, 1e-6);       // t = 2000 h is steady
 }
 
+TEST(Factored, LumpedTransientIsBitStableAcrossHeapLayouts) {
+  // The 4-state tier chains of [3,3,3,3] run entirely in the SIMD kernels'
+  // scalar tails.  The same evaluation after extra allocations (so its
+  // buffers land at other addresses) must reproduce every bit.
+  const ent::RedundancyDesign design = uniform_design(3);
+  std::map<ent::ServerRole, unsigned> wave;
+  for (unsigned role = 0; role < ent::kRoleCount; ++role) {
+    wave.emplace(static_cast<ent::ServerRole>(role), 1u);
+  }
+  const std::vector<double> grid{0.5, 2.0, 6.0, 12.0, 24.0};
+  const av::CoaCurveEvaluation reference =
+      av::transient_coa_lumped_detailed(design, rates(), grid, wave);
+  std::vector<std::vector<double>> ballast;
+  for (std::size_t extra = 1; extra <= 8; ++extra) {
+    ballast.emplace_back(extra, 0.0);
+    const av::CoaCurveEvaluation again =
+        av::transient_coa_lumped_detailed(design, rates(), grid, wave);
+    ASSERT_EQ(again.curve.size(), reference.curve.size());
+    for (std::size_t j = 0; j < grid.size(); ++j) {
+      EXPECT_EQ(again.curve[j].coa, reference.curve[j].coa) << "extra=" << extra << " j=" << j;
+    }
+    EXPECT_EQ(again.accumulated_coa_hours, reference.accumulated_coa_hours) << "extra=" << extra;
+  }
+}
+
 TEST(Factored, ValidationErrors) {
   pt::SrnModel model;
   const auto a = model.add_place("a", 1);

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <future>
@@ -372,6 +373,37 @@ TEST(EvalService, GracefulShutdownFulfillsQueuedWork) {
   EXPECT_GT(reply.report.coa, 0.9);
   EXPECT_THROW((void)service.submit(steady_request(ent::example_network_design())),
                std::runtime_error);
+}
+
+TEST(EvalService, CoalescedJoinerDuringTheSolveHasNonNegativeQueueWait) {
+  // Duplicates keep arriving while the lead request solves, so some join the
+  // in-flight entry after the worker claimed it.  Their queue wait is
+  // measured up to the claim they missed and must clamp to 0, not go
+  // negative.  Storage is off, so a duplicate that comes after the solve
+  // finished starts a fresh solve instead of hitting the cache.
+  svc::ServiceOptions options;
+  options.workers = 1;
+  options.cache_bytes = 0;
+  svc::EvalService service(core::Scenario::paper_case_study(), options);
+  const svc::EvalRequest request = steady_request(ent::RedundancyDesign{{8, 8, 8, 8}});
+
+  std::future<svc::ServiceReply> lead = service.submit(request);
+  std::vector<std::future<svc::ServiceReply>> joiners;
+  while (lead.wait_for(std::chrono::seconds(0)) != std::future_status::ready &&
+         joiners.size() < 2000) {
+    joiners.push_back(service.submit(request));
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  std::vector<svc::ServiceReply> replies{lead.get()};
+  for (std::future<svc::ServiceReply>& joiner : joiners) replies.push_back(joiner.get());
+
+  std::size_t coalesced = 0;
+  for (const svc::ServiceReply& reply : replies) {
+    EXPECT_GE(reply.queue_wait_seconds, 0.0) << svc::to_string(reply.source);
+    EXPECT_GE(reply.solve_seconds, 0.0);
+    coalesced += reply.source == svc::ReplySource::kCoalesced ? 1 : 0;
+  }
+  EXPECT_GT(coalesced, 0u) << "no duplicate joined the lead's solve";
 }
 
 TEST(EvalService, SolveErrorsPropagateThroughTheFuture) {

@@ -1,24 +1,32 @@
 // Tests for the SIMD sparse-kernel layer (linalg::SpmvKernel) and its
 // TransientSolver integration: scalar-oracle agreement (CsrMatrix::
 // left_multiply is the reference, per docs/ARCHITECTURE.md §12) on paper
-// nets and seeded random matrices, fused-step semantics, panel-vs-sequential
-// equivalence, the structure-reuse contract, and the threaded panel
-// reductions' bit-identity across thread counts.
+// nets and seeded random matrices, fused-step semantics and their
+// independence of buffer alignment, the structure-reuse contract, and the
+// one-pass curve route against the kScalar forward reference — including
+// the bit-identity of a curve column across panel widths.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <map>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "patchsec/avail/aggregation.hpp"
 #include "patchsec/avail/network_srn.hpp"
+#include "patchsec/avail/transient_coa.hpp"
+#include "patchsec/core/session.hpp"
 #include "patchsec/ctmc/transient_solver.hpp"
 #include "patchsec/enterprise/network.hpp"
 #include "patchsec/linalg/spmv_kernel.hpp"
 #include "patchsec/petri/reachability.hpp"
 
 namespace av = patchsec::avail;
+namespace core = patchsec::core;
 namespace ct = patchsec::ctmc;
 namespace ent = patchsec::enterprise;
 namespace la = patchsec::linalg;
@@ -27,8 +35,8 @@ namespace {
 
 // Documented agreement bound of the SIMD paths against the scalar oracle:
 // identical per-row accumulation order, but the SIMD lanes use explicit FMA
-// (and the panel kernel a different association for reductions), so results
-// differ by round-off only.
+// (and a lane-wise association for reductions), so results differ by
+// round-off only.
 constexpr double kEps = 1e-13;
 
 void expect_near_rel(const std::vector<double>& got, const std::vector<double>& want,
@@ -105,8 +113,7 @@ ct::Ctmc up_down(double l, double mu) {
   return c;
 }
 
-/// A birth-death chain big enough that the SIMD lanes and the panel all see
-/// multiple chunks.
+/// A birth-death chain big enough that the SIMD lanes see multiple chunks.
 ct::Ctmc birth_death(std::size_t n, double up, double down) {
   ct::Ctmc c;
   c.add_states(n);
@@ -225,59 +232,43 @@ TEST(SpmvKernel, FusedStepNullArguments) {
   expect_near_rel(y, want, kEps, "step without fusion arguments");
 }
 
-// ---------------------------------------------------------------------------
-// Multi-RHS panel
-// ---------------------------------------------------------------------------
-
-TEST(SpmvKernel, PanelMatchesSequentialSingleVector) {
-  const la::CsrMatrix a = random_csr(70, 0.1, 21);
+TEST(SpmvKernel, FusedReduceDoesNotDependOnAlignment) {
+  // n = 8q + 7 leaves a 7-element tail behind the AVX-512 body (3 behind
+  // the AVX2 one).  The same inputs at two alignments, one shifted by a
+  // double, must give bitwise-equal accumulators and dots.
+  constexpr std::size_t n = 8 * 5 + 7;
   la::SpmvKernel kernel;
-  kernel.compile(a);
-  for (std::size_t m : {1u, 2u, 3u, 4u, 7u, 8u, 9u, 16u}) {
-    std::vector<double> panel(70 * m);
-    std::vector<std::vector<double>> columns(m);
-    for (std::size_t b = 0; b < m; ++b) {
-      columns[b] = random_vector(70, static_cast<std::uint32_t>(300 + m * 10 + b));
-      for (std::size_t s = 0; s < 70; ++s) panel[s * m + b] = columns[b][s];
-    }
-    std::vector<double> panel_out(70 * m);
-    kernel.left_multiply_panel(panel.data(), panel_out.data(), m);
-    for (std::size_t b = 0; b < m; ++b) {
-      std::vector<double> want;
-      kernel.left_multiply(columns[b], want);
-      std::vector<double> got(70);
-      for (std::size_t s = 0; s < 70; ++s) got[s] = panel_out[s * m + b];
-      expect_near_rel(got, want, kEps, "panel column vs single-vector");
+  kernel.compile(random_csr(n, 0.1, 71));
+  const std::vector<double> x0 = random_vector(n, 72);
+  const std::vector<double> r0 = random_vector(n, 73);
+  const std::vector<double> accum0 = random_vector(n, 74);
+  const double weight = 0.37;
+
+  std::vector<double> accums[2];
+  double dots[2] = {0.0, 0.0};
+  for (std::size_t shift = 0; shift < 2; ++shift) {
+    std::vector<double> x(n + 1);
+    std::vector<double> r(n + 1);
+    std::vector<double> accum(n + 1);
+    std::copy(x0.begin(), x0.end(), x.begin() + static_cast<std::ptrdiff_t>(shift));
+    std::copy(r0.begin(), r0.end(), r.begin() + static_cast<std::ptrdiff_t>(shift));
+    std::copy(accum0.begin(), accum0.end(), accum.begin() + static_cast<std::ptrdiff_t>(shift));
+    dots[shift] =
+        kernel.reduce(x.data() + shift, weight, accum.data() + shift, r.data() + shift);
+    accums[shift].assign(accum.begin() + static_cast<std::ptrdiff_t>(shift),
+                         accum.begin() + static_cast<std::ptrdiff_t>(shift + n));
+  }
+  EXPECT_EQ(std::memcmp(&dots[0], &dots[1], sizeof(double)), 0);
+  EXPECT_EQ(accums[0], accums[1]);
+
+  // The SIMD paths apply one fma per element, in the vector body and the
+  // tail alike (the portable scalar pass leaves contraction to the
+  // compiler, so it is held only to the alignment check above).
+  if (kernel.isa() != la::SpmvIsa::kScalar) {
+    for (std::size_t s = 0; s < n; ++s) {
+      EXPECT_EQ(accums[0][s], std::fma(weight, x0[s], accum0[s])) << "s=" << s;
     }
   }
-}
-
-TEST(SpmvKernel, FusedPanelStepMatchesUnfusedPieces) {
-  const la::CsrMatrix a = random_csr(40, 0.15, 31);
-  la::SpmvKernel kernel;
-  kernel.compile(a);
-  const std::size_t m = 5;
-  const std::vector<double> x = random_vector(40 * m, 32);
-  const std::vector<double> r = random_vector(40, 33);
-  std::vector<double> accum(40 * m, 0.25);
-  std::vector<double> accum_ref = accum;
-  std::vector<double> dots(m);
-  std::vector<double> y(40 * m);
-  const double weight = 0.61;
-  kernel.step_panel(x.data(), y.data(), m, weight, accum.data(), r.data(), dots.data());
-
-  std::vector<double> y_ref(40 * m);
-  kernel.left_multiply_panel(x.data(), y_ref.data(), m);
-  std::vector<double> dots_ref(m, 0.0);
-  for (std::size_t s = 0; s < 40; ++s) {
-    for (std::size_t b = 0; b < m; ++b) {
-      accum_ref[s * m + b] += weight * x[s * m + b];
-      dots_ref[b] += x[s * m + b] * r[s];
-    }
-  }
-  expect_near_rel(y, y_ref, kEps, "fused panel matvec");
-  expect_near_rel(accum, accum_ref, kEps, "fused panel accumulate");
-  expect_near_rel(dots, dots_ref, kEps, "fused panel dots");
 }
 
 // ---------------------------------------------------------------------------
@@ -352,9 +343,11 @@ TEST(SpmvKernelTransient, AutoKernelMatchesScalarReference) {
     EXPECT_EQ(auto_solver.diagnostics().kernel,
               la::spmv_isa_name(la::spmv_dispatched_isa()));
     EXPECT_EQ(auto_solver.diagnostics().rhs_count, 1u);
-    // Same matrix sweeps either way: the kernel changes arithmetic shape,
-    // never the expansion.
-    EXPECT_EQ(auto_solver.diagnostics().matvec_count,
+    // One backward series to the right truncation point of Lambda * t_last
+    // serves the whole grid; the kScalar reference restarts a Poisson window
+    // per grid segment, so it sweeps more.
+    EXPECT_EQ(auto_solver.diagnostics().matvec_count, auto_solver.diagnostics().right_point);
+    EXPECT_LT(auto_solver.diagnostics().matvec_count,
               scalar_solver.diagnostics().matvec_count);
 
     expect_near_rel(auto_curve, scalar_curve, 1e-11, "kAuto vs kScalar curve");
@@ -388,7 +381,7 @@ TEST(SpmvKernelTransient, PanelCurveMatchesSequentialCurves) {
   ASSERT_EQ(accs.size(), m);
   EXPECT_EQ(solver.diagnostics().rhs_count, m);
 
-  // A panel of width m costs ONE sweep per expansion term.
+  // The shared series costs one sweep per term, whatever the width.
   const std::size_t panel_sweeps = solver.diagnostics().matvec_count;
 
   for (std::size_t b = 0; b < m; ++b) {
@@ -398,7 +391,7 @@ TEST(SpmvKernelTransient, PanelCurveMatchesSequentialCurves) {
     const double acc = reference.reward_curve(initials[b], rewards, grid, curve);
     expect_near_rel(curves[b], curve, 1e-11, "panel column vs sequential curve");
     EXPECT_NEAR(accs[b], acc, 1e-11 * std::max(1.0, std::abs(acc)));
-    // Window sizes are column-independent (same chain, same grid), so each
+    // The series length depends on the chain and t_last only, so each
     // sequential solve alone sweeps as often as the whole panel did.
     EXPECT_EQ(reference.diagnostics().matvec_count, panel_sweeps);
   }
@@ -481,4 +474,45 @@ TEST(SpmvKernelTransient, SolverReusesKernelAcrossValueRefresh) {
   EXPECT_EQ(solver.structure_reuses(), 1u);
   EXPECT_EQ(solver.kernel_structure_builds(), 1u);
   EXPECT_EQ(solver.kernel_structure_reuses(), 1u);
+}
+
+TEST(SpmvKernelTransient, OnePassMatchesScalarReferenceOnPaperDesigns) {
+  // The one-pass backward series against the forward kScalar trajectory on
+  // the five paper designs plus [6,6,6,6], at two cadences and three patch
+  // waves: every curve point and the interval COA (accumulated / t_last)
+  // agree within 1e-12.
+  const core::Session session(core::Scenario::paper_case_study());
+  const std::vector<double> grid = core::EngineOptions{}.transient_grid();
+  std::vector<ent::RedundancyDesign> designs = ent::paper_designs();
+  designs.push_back(ent::RedundancyDesign{{6, 6, 6, 6}});
+  const std::vector<std::map<ent::ServerRole, unsigned>> waves = {
+      {{ent::ServerRole::kDns, 1},
+       {ent::ServerRole::kWeb, 1},
+       {ent::ServerRole::kApp, 1},
+       {ent::ServerRole::kDb, 1}},
+      {{ent::ServerRole::kApp, 1}},
+      {{ent::ServerRole::kWeb, 2}, {ent::ServerRole::kDb, 1}},
+  };
+  av::TransientCoaOptions scalar;
+  scalar.uniformization.kernel = ct::TransientOptions::Kernel::kScalar;
+  for (double hours : {720.0, 1440.0}) {
+    const auto& rates = session.aggregated_rates(hours);
+    for (const ent::RedundancyDesign& design : designs) {
+      SCOPED_TRACE(design.name() + " @ " + std::to_string(hours) + " h");
+      const std::vector<av::CoaCurveEvaluation> fast =
+          av::transient_coa_batch(design, rates, grid, waves);
+      const std::vector<av::CoaCurveEvaluation> reference =
+          av::transient_coa_batch(design, rates, grid, waves, scalar);
+      for (std::size_t b = 0; b < waves.size(); ++b) {
+        for (std::size_t j = 0; j < grid.size(); ++j) {
+          EXPECT_NEAR(fast[b].curve[j].coa, reference[b].curve[j].coa, 1e-12)
+              << "wave " << b << " t=" << grid[j];
+        }
+        EXPECT_NEAR(fast[b].accumulated_coa_hours / grid.back(),
+                    reference[b].accumulated_coa_hours / grid.back(), 1e-12)
+            << "wave " << b;
+      }
+      EXPECT_LT(fast.front().transient.matvec_count, reference.front().transient.matvec_count);
+    }
+  }
 }

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <map>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "patchsec/avail/transient_coa.hpp"
@@ -198,6 +199,34 @@ TEST(TransientEngine, BatchedWavesMatchSequentialEvaluations) {
 
   EXPECT_THROW((void)session.evaluate_transient_batch(ent::example_network_design(), {}),
                std::invalid_argument);
+}
+
+TEST(TransientEngine, SingleWaveIsTheWidthOneBatchBitwise) {
+  // One transient entry point: under the analytic flat backend
+  // evaluate_transient(d, wave, h) IS evaluate_transient_batch(d, {wave}, h).
+  const core::Session single(transient_scenario());
+  const core::Session batched(transient_scenario());
+  const std::vector<std::map<ent::ServerRole, unsigned>> waves = {
+      {},
+      {{ent::ServerRole::kApp, 1}},
+      {{ent::ServerRole::kDns, 1}, {ent::ServerRole::kDb, 1}},
+  };
+  for (const ent::RedundancyDesign& design : ent::paper_designs()) {
+    for (double hours : {720.0, 168.0}) {
+      for (const auto& wave : waves) {
+        SCOPED_TRACE(design.name() + " @ " + std::to_string(hours) + " h");
+        const core::EvalReport one = single.evaluate_transient(design, wave, hours);
+        const core::EvalReport batch = batched.evaluate_transient_batch(design, {wave}, hours)[0];
+        EXPECT_EQ(one.transient.time_points_hours, batch.transient.time_points_hours);
+        EXPECT_EQ(one.transient.coa, batch.transient.coa);
+        EXPECT_EQ(one.transient.accumulated_coa_hours, batch.transient.accumulated_coa_hours);
+        EXPECT_EQ(one.coa, batch.coa);
+        EXPECT_EQ(one.transient_diagnostics.matvec_count,
+                  batch.transient_diagnostics.matvec_count);
+        EXPECT_EQ(one.transient_diagnostics.rhs_count, 1u);
+      }
+    }
+  }
 }
 
 TEST(TransientEngine, BatchFallsBackSequentiallyUnderLumping) {

@@ -1,7 +1,9 @@
 // Tests for the uniformization workspace (ctmc::TransientSolver): closed
 // forms, an in-test naive-uniformization oracle (the pre-workspace algorithm
 // kept verbatim as reference), Fox-Glynn window behaviour, the exact
-// accumulated-reward series, curve stepping, and workspace reuse.
+// accumulated-reward series, the one-pass curve route (sweep count, width-1
+// identity, degenerate grids and chains, the max_terms bound), and
+// workspace reuse.
 
 #include <gtest/gtest.h>
 
@@ -201,6 +203,117 @@ TEST(TransientSolver, CurveValidation) {
                std::invalid_argument);
   EXPECT_THROW((void)solver.reward_curve({1.0}, {1.0, 0.0}, {1.0}, values),
                std::invalid_argument);
+  EXPECT_THROW((void)solver.reward_curve({0.0, 0.0}, {1.0, 0.0}, {1.0}, values),
+               std::domain_error);
+}
+
+TEST(TransientSolver, OnePassSweepCountIsTheHorizonRightPoint) {
+  // A kAuto curve runs one series to the right truncation point of
+  // Lambda * t_last, however many grid points share that horizon.
+  const ct::Ctmc c = random_chain(12, 9);
+  std::vector<double> initial(12, 0.0);
+  initial[2] = 1.0;
+  std::vector<double> rewards(12);
+  for (std::size_t s = 0; s < 12; ++s) rewards[s] = std::cos(static_cast<double>(s));
+  const std::vector<double> coarse{1.5, 3.0};
+  std::vector<double> fine;
+  for (int j = 1; j <= 16; ++j) fine.push_back(3.0 * j / 16.0);
+  std::vector<double> values;
+  ct::TransientSolver two_points;
+  two_points.prepare(c);
+  (void)two_points.reward_curve(initial, rewards, coarse, values);
+  ct::TransientSolver sixteen_points;
+  sixteen_points.prepare(c);
+  (void)sixteen_points.reward_curve(initial, rewards, fine, values);
+  EXPECT_EQ(two_points.diagnostics().matvec_count, sixteen_points.diagnostics().matvec_count);
+
+  // The forward step over [0, t_last] computes the Poisson(Lambda t_last)
+  // window on its own: its right point is the series length.
+  ct::TransientSolver probe;
+  probe.prepare(c);
+  std::vector<double> pi;
+  probe.distribution_at(initial, 3.0, pi);
+  EXPECT_EQ(two_points.diagnostics().matvec_count, probe.diagnostics().right_point);
+  EXPECT_GT(static_cast<double>(two_points.diagnostics().matvec_count),
+            two_points.diagnostics().uniformization_rate * 3.0);
+}
+
+TEST(TransientSolver, SingleCurveIsTheWidthOneColumnBitwise) {
+  const ct::Ctmc c = random_chain(9, 4);
+  std::vector<double> initial(9, 0.0);
+  initial[1] = 0.25;  // a spread initial, not only point masses
+  initial[6] = 0.75;
+  std::vector<double> rewards(9);
+  for (std::size_t s = 0; s < 9; ++s) rewards[s] = 1.0 / static_cast<double>(s + 1);
+  const std::vector<double> grid{0.0, 0.3, 0.3, 1.1, 2.0};
+  ct::TransientSolver single;
+  single.prepare(c);
+  std::vector<double> values;
+  const double accumulated = single.reward_curve(initial, rewards, grid, values);
+  ct::TransientSolver multi;
+  multi.prepare(c);
+  std::vector<std::vector<double>> curves;
+  const std::vector<double> accs = multi.reward_curve_multi({initial}, rewards, grid, curves);
+  ASSERT_EQ(curves.size(), 1u);
+  EXPECT_EQ(curves[0], values);
+  EXPECT_EQ(accs[0], accumulated);
+}
+
+TEST(TransientSolver, OnePassFrozenChainAndZeroTimePoints) {
+  // Lambda = 0: the reward rate stays at r . pi(0) and accumulates linearly,
+  // with no sweep at all.
+  ct::Ctmc frozen;
+  frozen.add_states(3);
+  ct::TransientSolver frozen_solver;
+  frozen_solver.prepare(frozen);
+  std::vector<double> values;
+  const double frozen_acc =
+      frozen_solver.reward_curve({0.2, 0.3, 0.5}, {1.0, 0.0, 0.0}, {0.0, 4.0, 10.0}, values);
+  EXPECT_EQ(values, (std::vector<double>{0.2, 0.2, 0.2}));
+  EXPECT_NEAR(frozen_acc, 2.0, 1e-12);
+  EXPECT_EQ(frozen_solver.diagnostics().matvec_count, 0u);
+
+  // A t = 0 grid point is r . pi(0) exactly; an all-zero grid sweeps
+  // nothing and accumulates nothing.
+  const ct::Ctmc c = up_down(1.0, 3.0);
+  ct::TransientSolver solver;
+  solver.prepare(c);
+  const std::vector<double> initial{0.25, 0.75};
+  const std::vector<double> rewards{1.0, 0.5};
+  (void)solver.reward_curve(initial, rewards, {0.0, 1.0}, values);
+  EXPECT_EQ(values[0], 0.25 * 1.0 + 0.75 * 0.5);
+  EXPECT_NEAR(values[1], solver.reward_at(initial, rewards, 1.0), 1e-12);
+  ct::TransientSolver zero;
+  zero.prepare(c);
+  EXPECT_EQ(zero.reward_curve(initial, rewards, {0.0, 0.0}, values), 0.0);
+  EXPECT_EQ(values[1], 0.25 * 1.0 + 0.75 * 0.5);
+  EXPECT_EQ(zero.diagnostics().matvec_count, 0u);
+}
+
+TEST(TransientSolver, MaxTermsBoundsTheOnePassHorizon) {
+  // Lambda * t = 1020: each Poisson window is a few hundred terms wide, but
+  // the one-pass series must run to its right point (~1250 terms).  A cap
+  // of 600 admits the windows and refuses the series.
+  const ct::Ctmc c = up_down(50.0, 50.0);
+  ct::TransientOptions options;
+  options.max_terms = 600;
+  ct::TransientSolver solver(options);
+  solver.prepare(c);
+  std::vector<double> pi;
+  EXPECT_NO_THROW(solver.distribution_at({1.0, 0.0}, 20.0, pi));
+  std::vector<double> values;
+  EXPECT_THROW((void)solver.reward_curve({1.0, 0.0}, {1.0, 0.0}, {10.0, 20.0}, values),
+               std::runtime_error);
+  EXPECT_THROW((void)solver.accumulated_reward({1.0, 0.0}, {1.0, 0.0}, 20.0),
+               std::runtime_error);
+
+  // The kScalar reference caps each step's window instead, so the same grid
+  // in short steps stays within the cap.
+  options.kernel = ct::TransientOptions::Kernel::kScalar;
+  solver.set_options(options);
+  std::vector<double> grid;
+  for (int j = 1; j <= 20; ++j) grid.push_back(static_cast<double>(j));
+  EXPECT_NO_THROW((void)solver.reward_curve({1.0, 0.0}, {1.0, 0.0}, grid, values));
 }
 
 TEST(TransientSolver, FoxGlynnWindowSkipsTheLeftTail) {
