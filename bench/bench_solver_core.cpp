@@ -47,7 +47,7 @@ BENCHMARK(BM_CtmcGeneratorAssembly)->Arg(4)->Arg(6);
 
 void BM_SteadyStateCold(benchmark::State& state) {
   const la::CsrMatrix q = network_generator(static_cast<unsigned>(state.range(0)));
-  for (auto _ : state) benchmark::DoNotOptimize(la::solve_steady_state(q));
+  for (auto _ : state) benchmark::DoNotOptimize(la::StationarySolver().solve(q));
 }
 BENCHMARK(BM_SteadyStateCold)->Arg(4)->Arg(6);
 

@@ -171,7 +171,7 @@ int main(int argc, char** argv) {
     // the Session schedule-sweep path).
     const la::CsrMatrix q = pt::build_reachability_graph(net.model).chain.generator();
     results.push_back(run_bench("steady_state_k6_cold", reps, [&q]() -> Sample {
-      const la::SteadyStateResult ss = la::solve_steady_state(q);
+      const la::SteadyStateResult ss = la::StationarySolver().solve(q);
       Sample s;
       s.tangible_states = q.rows();
       s.solver_iterations = ss.iterations;

@@ -3,7 +3,7 @@
 /// \brief The inputs of the paper's Fig. 1 pipeline as a first-class value:
 /// a Scenario describes *what* to evaluate (server specs, reachability
 /// policy, patch schedule(s), candidate design space) and EngineOptions
-/// describe *how* to solve it (steady-state method/tolerance/iteration
+/// describe *how* to solve it (steady-state tolerance/iteration
 /// budget, reachability limits, batch parallelism).
 ///
 /// A Scenario is a plain value: build one with the fluent with_* setters (or
@@ -53,11 +53,14 @@ enum class EvalBackend : std::uint8_t {
 };
 
 /// \brief End-to-end numerical-engine configuration, threaded from the
-/// facade down to linalg::solve_steady_state on every lower- and upper-layer
-/// SRN solve.
+/// facade down to linalg::StationarySolver::solve on every lower- and
+/// upper-layer SRN solve.
 struct EngineOptions {
-  /// Steady-state solver knobs (method, tolerance, max iterations, SOR
-  /// relaxation) passed verbatim to linalg::solve_steady_state.
+  /// Convergence settings of the steady-state solver (tolerance and the
+  /// per-solve iteration budget), passed verbatim to
+  /// linalg::StationarySolver::solve.  The solver picks its route
+  /// (Gauss-Seidel, banded GTH, power iteration) itself; no setting here
+  /// selects it.
   linalg::SteadyStateOptions steady_state;
   /// Reachability-graph limits (tangible-state bound, vanishing depth).
   petri::ReachabilityOptions reachability;

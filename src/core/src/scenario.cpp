@@ -1,5 +1,6 @@
 #include "patchsec/core/scenario.hpp"
 
+#include <cmath>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -10,8 +11,9 @@ std::vector<double> EngineOptions::transient_grid() const {
   if (!time_points.empty()) {
     double previous = 0.0;
     for (double t : time_points) {
-      if (t < 0.0) {
-        throw std::invalid_argument("EngineOptions: negative transient time point");
+      if (!std::isfinite(t) || t < 0.0) {
+        throw std::invalid_argument(
+            "EngineOptions: transient time points must be finite and non-negative");
       }
       if (t < previous) {
         throw std::invalid_argument("EngineOptions: transient time_points must be ascending");
@@ -25,8 +27,8 @@ std::vector<double> EngineOptions::transient_grid() const {
     }
     return time_points;
   }
-  if (!(horizon_hours > 0.0)) {
-    throw std::invalid_argument("EngineOptions: horizon_hours must be > 0");
+  if (!std::isfinite(horizon_hours) || !(horizon_hours > 0.0)) {
+    throw std::invalid_argument("EngineOptions: horizon_hours must be finite and > 0");
   }
   if (transient_points < 2) {
     throw std::invalid_argument("EngineOptions: transient_points must be >= 2");
@@ -118,8 +120,16 @@ void Scenario::validate() const {
       }
     }
   }
+  const double tolerance = engine_.steady_state.tolerance;
+  if (!std::isfinite(tolerance) || !(tolerance > 0.0)) {
+    throw std::invalid_argument("Scenario: steady_state.tolerance must be finite and > 0");
+  }
   if (engine_.steady_state.max_iterations == 0) {
     throw std::invalid_argument("Scenario: steady_state.max_iterations must be > 0");
+  }
+  const double epsilon = engine_.uniformization.epsilon;
+  if (!(epsilon > 0.0 && epsilon < 1.0)) {
+    throw std::invalid_argument("Scenario: uniformization.epsilon must lie in (0, 1)");
   }
 }
 

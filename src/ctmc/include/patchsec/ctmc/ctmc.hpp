@@ -58,15 +58,13 @@ class Ctmc {
   [[nodiscard]] linalg::CsrMatrix generator() const;
 
   /// Stationary distribution (requires an irreducible chain; the solver
-  /// result carries convergence diagnostics).
+  /// result carries convergence diagnostics).  A caller-owned `workspace`
+  /// lets repeated solves of same-structure chains reuse the cached
+  /// transpose/diagonal/scratch (see linalg::StationarySolver); without one
+  /// the solve runs on a temporary workspace, along the identical route.
   [[nodiscard]] linalg::SteadyStateResult steady_state(
-      const linalg::SteadyStateOptions& options = {}) const;
-
-  /// Stationary distribution computed through a caller-owned solver
-  /// workspace, so repeated solves of same-structure chains reuse the cached
-  /// transpose/diagonal/scratch (see linalg::StationarySolver).
-  [[nodiscard]] linalg::SteadyStateResult steady_state(
-      linalg::StationarySolver& workspace, const linalg::SteadyStateOptions& options) const;
+      const linalg::SteadyStateOptions& options = {},
+      linalg::StationarySolver* workspace = nullptr) const;
 
   /// Expected steady-state reward  sum_s pi_s * reward_s.  `rewards` must
   /// have one entry per state.

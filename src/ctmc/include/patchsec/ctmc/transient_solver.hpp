@@ -59,7 +59,7 @@ namespace patchsec::ctmc {
 
 /// Truncation policy and inner-loop choice of the uniformization expansion.
 struct TransientOptions {
-  double epsilon = 1e-12;  ///< truncation error bound on Poisson mass.
+  double epsilon = 1e-12;  ///< truncation error bound on Poisson mass, in (0, 1).
   /// Hard cap on the expansion length.  Under Kernel::kAuto a curve runs one
   /// series to the right truncation point of Lambda * t_last, so max_terms
   /// bounds Lambda * t_last itself (a larger right point throws
@@ -117,8 +117,9 @@ class TransientSolver {
   [[nodiscard]] std::size_t state_count() const noexcept { return states_; }
 
   /// pi(t) from `initial` (must sum to ~1), written into `out` (resized).
-  /// Throws std::invalid_argument on size mismatch / negative t and
-  /// std::logic_error when prepare() has not run.
+  /// Throws std::invalid_argument on size mismatch, a negative or non-finite
+  /// t, or an epsilon outside (0, 1), and std::logic_error when prepare()
+  /// has not run.
   void distribution_at(const std::vector<double>& initial, double t, std::vector<double>& out);
 
   /// Expected instantaneous reward  r . pi(t).
@@ -131,7 +132,7 @@ class TransientSolver {
   [[nodiscard]] double accumulated_reward(const std::vector<double>& initial,
                                           const std::vector<double>& rewards, double t);
 
-  /// The reward curve r . pi(t_j) over an ascending (non-negative,
+  /// The reward curve r . pi(t_j) over an ascending (finite, non-negative,
   /// non-decreasing) time grid; `values` is resized to the grid.  Returns
   /// the accumulated reward int_0^{t_back} r . pi(s) ds — both measures ride
   /// the same vector iterations.  Under kAuto this is reward_curve_multi()
@@ -189,7 +190,11 @@ class TransientSolver {
   void step(std::vector<double>& state, const std::vector<double>* rewards, double dt,
             double* accumulated);
 
-  /// Throws unless prepare() ran and the reward vector and grid are valid.
+  /// Throws unless prepare() ran and options().epsilon lies in (0, 1).
+  void check_ready() const;
+
+  /// Throws unless check_ready() passes and the reward vector and grid are
+  /// valid.
   void check_curve_arguments(const std::vector<double>& rewards,
                              const std::vector<double>& time_points) const;
 

@@ -91,15 +91,11 @@ linalg::CsrMatrix Ctmc::generator() const {
                                         std::move(values));
 }
 
-linalg::SteadyStateResult Ctmc::steady_state(const linalg::SteadyStateOptions& options) const {
+linalg::SteadyStateResult Ctmc::steady_state(const linalg::SteadyStateOptions& options,
+                                             linalg::StationarySolver* workspace) const {
   if (state_count() == 0) throw std::logic_error("Ctmc::steady_state: empty chain");
-  return linalg::solve_steady_state(generator(), options);
-}
-
-linalg::SteadyStateResult Ctmc::steady_state(linalg::StationarySolver& workspace,
-                                             const linalg::SteadyStateOptions& options) const {
-  if (state_count() == 0) throw std::logic_error("Ctmc::steady_state: empty chain");
-  return workspace.solve(generator(), options);
+  if (workspace != nullptr) return workspace->solve(generator(), options);
+  return linalg::StationarySolver().solve(generator(), options);
 }
 
 double Ctmc::expected_steady_state_reward(const std::vector<double>& rewards,

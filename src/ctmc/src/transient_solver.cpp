@@ -252,16 +252,25 @@ void TransientSolver::step(std::vector<double>& state, const std::vector<double>
   state = accum_;
 }
 
+void TransientSolver::check_ready() const {
+  if (!prepared()) throw std::logic_error("TransientSolver: prepare() has not run");
+  if (!(options_.epsilon > 0.0 && options_.epsilon < 1.0)) {
+    throw std::invalid_argument("TransientSolver: epsilon must lie in (0, 1)");
+  }
+}
+
 void TransientSolver::check_curve_arguments(const std::vector<double>& rewards,
                                             const std::vector<double>& time_points) const {
-  if (!prepared()) throw std::logic_error("TransientSolver: prepare() has not run");
+  check_ready();
   if (rewards.size() != states_) {
     throw std::invalid_argument("TransientSolver: reward size mismatch");
   }
   if (time_points.empty()) throw std::invalid_argument("TransientSolver: empty time grid");
   double previous = 0.0;
   for (double t : time_points) {
-    if (t < 0.0) throw std::invalid_argument("TransientSolver: negative time point");
+    if (!std::isfinite(t) || t < 0.0) {
+      throw std::invalid_argument("TransientSolver: time points must be finite and non-negative");
+    }
     if (t < previous) throw std::invalid_argument("TransientSolver: time grid must be ascending");
     previous = t;
   }
@@ -375,11 +384,13 @@ std::vector<double> TransientSolver::reward_curve_multi(
 
 void TransientSolver::distribution_at(const std::vector<double>& initial, double t,
                                       std::vector<double>& out) {
-  if (!prepared()) throw std::logic_error("TransientSolver: prepare() has not run");
+  check_ready();
   if (initial.size() != states_) {
     throw std::invalid_argument("TransientSolver: initial size mismatch");
   }
-  if (t < 0.0) throw std::invalid_argument("TransientSolver: negative time");
+  if (!std::isfinite(t) || t < 0.0) {
+    throw std::invalid_argument("TransientSolver: time must be finite and non-negative");
+  }
   const auto start = Clock::now();
   out = initial;
   step(out, nullptr, t, nullptr);

@@ -1,14 +1,17 @@
 #pragma once
 /// \file stationary_solver.hpp
-/// \brief Reusable workspace for repeated stationary solves of CTMC
-/// generators.
+/// \brief The steady-state solver: the one entry point for pi * Q = 0,
+/// sum(pi) = 1 on a CTMC generator, and the workspace it reuses across
+/// solves.
 ///
-/// solve_steady_state() is stateless: every call re-derives the transposed
-/// generator, the diagonal and fresh scratch vectors.  That is pure overhead
-/// on the paths that solve many generators of identical sparsity structure —
-/// the Session schedule sweep solves the same network SRN at every cadence,
-/// and a design sweep solves one generator per design repeatedly while only
-/// the rates change.  A StationarySolver owns that state across solves:
+/// StationarySolver::solve(generator, options) is the only way to run a
+/// stationary solve, and it has one route (steady_state.hpp): Gauss-Seidel,
+/// then banded GTH when cheaper, then power iteration.  A one-off solve uses
+/// a temporary StationarySolver().  Paths that solve many generators of
+/// identical sparsity structure hold one instead — the Session schedule sweep
+/// solves the same network SRN at every cadence, and a design sweep solves one
+/// generator per design repeatedly while only the rates change.  The solver
+/// owns that state across solves:
 ///
 ///  * the transposed generator, built by a linear-time counting/bucket
 ///    transpose (CsrMatrix::transposed()) and *cached*: when the next
@@ -17,43 +20,38 @@
 ///  * the diagonal of Q (positions cached the same way);
 ///  * the iterate / residual scratch vectors.
 ///
-/// The solver also upgrades the Gauss-Seidel loop itself:
+/// The Gauss-Seidel loop itself:
 ///
 ///  * the convergence test is evaluated every sweep *for free*: the max-norm
 ///    difference of successive normalized iterates is bounded during the
 ///    update loop itself (the old value of x[i] is in hand right before it is
 ///    overwritten), so the per-sweep `prev = x` copy, the separate diff pass
 ///    and the per-sweep renormalization are all gone.  Iterates are kept
-///    unnormalized — every Gauss-Seidel/SOR update (including the negativity
+///    unnormalized — every Gauss-Seidel update (including the negativity
 ///    clamp) is positively homogeneous, so the trajectory is the classical
 ///    one up to scale, and a lower bound on the normalized successive
 ///    difference decides convergence no later than the classical test;
-///  * SteadyStateMethod::kAuto gets stall detection: the sweep difference is
-///    sampled at checkpoints, the geometric decay rate is estimated, and when
-///    the projected sweeps-to-tolerance exceed the remaining budget the
-///    attempt is abandoned early (SteadyStateResult::stalled) instead of
-///    burning the full max_iterations budget.
+///  * stall detection: the sweep difference is sampled at checkpoints, the
+///    geometric decay rate is estimated, and when the projected
+///    sweeps-to-tolerance exceed the remaining budget the attempt is
+///    abandoned early (SteadyStateResult::stalled) instead of burning the
+///    full max_iterations budget.
 ///
-/// kAuto runs Gauss-Seidel, then banded GTH when cheaper, then power
-/// iteration.  prepare() records the generator's lower/upper bandwidth bl/bu
-/// with the cached structure.  When the banded Grassmann-Taksar-Heyman
-/// elimination (subtraction-free, O(n * bl * bu)) costs at most a fixed
-/// multiple of nnz, the sweep is handed to it at the first stall checkpoint
-/// (sweep 32) if the projected remaining sweeps would cost more, and it takes
-/// the place of the power-iteration fallback after a stall.  A wide
-/// redundancy tier in reachability order is such a chain (bandwidth 12 or
-/// less); a chain with every tier wide is not ([6,6,6,6] has bandwidth 243
-/// over 2401 states) and stays on the sweep.  An elimination that breaks
-/// down (no single recurrent class) hands the solve back to the sweep.
-/// Gauss-Seidel solves that converge within 32 sweeps never see the direct
-/// route, and the route is a function of (generator, options) alone.  The
-/// explicit kGaussSeidel, kSor and kPower methods never take it.
+/// prepare() records the generator's lower/upper bandwidth bl/bu with the
+/// cached structure.  When the banded Grassmann-Taksar-Heyman elimination
+/// (subtraction-free, O(n * bl * bu)) costs at most a fixed multiple of nnz,
+/// the sweep is handed to it at the first stall checkpoint (sweep 32) if the
+/// projected remaining sweeps would cost more, and it takes the place of the
+/// power-iteration fallback after a stall.  A wide redundancy tier in
+/// reachability order is such a chain (bandwidth 12 or less); a chain with
+/// every tier wide is not ([6,6,6,6] has bandwidth 243 over 2401 states) and
+/// stays on the sweep.  An elimination that breaks down (no single recurrent
+/// class) hands the solve back to the sweep.  Gauss-Seidel solves that
+/// converge within 32 sweeps never see the direct route, and the route is a
+/// function of (generator, options) alone.
 ///
-/// solve_steady_state() remains the stateless entry point and is now a thin
-/// wrapper over a local StationarySolver, so every caller gets the fast
-/// per-solve path; callers with repeated solves hold a StationarySolver to
-/// also amortize the structure setup.  A StationarySolver is NOT thread-safe;
-/// share one per thread (core::Session keeps one per worker thread).
+/// A StationarySolver is NOT thread-safe; share one per thread
+/// (core::Session keeps one per worker thread).
 
 #include <cstddef>
 #include <vector>
@@ -65,30 +63,35 @@ namespace patchsec::linalg {
 
 class StationarySolver {
  public:
-  StationarySolver() = default;
-  explicit StationarySolver(SteadyStateOptions options) : options_(options) {}
-
-  /// Solve pi * Q = 0, sum(pi) = 1 with the stored options.  Identical
-  /// semantics to solve_steady_state() (same methods, same tolerances, same
-  /// thrown exceptions); reuses cached structure when `generator` has the
-  /// sparsity pattern of the previous solve.
-  [[nodiscard]] SteadyStateResult solve(const CsrMatrix& generator);
-
-  /// Solve with explicit options (the stored options are untouched).
+  /// Solve pi * Q = 0, sum(pi) = 1 for a CTMC infinitesimal generator;
+  /// reuses cached structure when `generator` has the sparsity pattern of
+  /// the previous solve.
+  ///
+  /// \param generator  Square CSR generator matrix Q (rows sum to ~0),
+  ///                   indexed by source state; typically
+  ///                   ctmc::Ctmc::generator() on the chain that
+  ///                   petri::build_reachability_graph lowered from an SRN.
+  /// \param options    Convergence settings of this solve.
+  /// \return Stationary distribution with iteration count, final residual,
+  ///         route and a convergence flag (the distribution is still
+  ///         normalized and usable as a best-effort estimate when
+  ///         \c converged is false).
+  /// \throws std::invalid_argument when \p generator is empty or not square,
+  ///         when options.tolerance is not finite and > 0, or when
+  ///         options.max_iterations is 0.
+  /// \pre Q must be restricted to a single recurrent class; the SRN layer
+  ///      guarantees this by construction from a reachability graph.
   [[nodiscard]] SteadyStateResult solve(const CsrMatrix& generator,
-                                        const SteadyStateOptions& options);
-
-  [[nodiscard]] const SteadyStateOptions& options() const noexcept { return options_; }
-  void set_options(const SteadyStateOptions& options) { options_ = options; }
+                                        const SteadyStateOptions& options = {});
 
   /// Number of solve() calls served (excluding trivially-shaped rejects).
   [[nodiscard]] std::size_t solve_count() const noexcept { return solves_; }
   /// Number of solves that had to rebuild the cached transpose because the
   /// sparsity structure changed (first solve counts as one rebuild).
   [[nodiscard]] std::size_t transpose_rebuilds() const noexcept { return rebuilds_; }
-  /// Number of kAuto Gauss-Seidel attempts abandoned by stall detection.
+  /// Number of Gauss-Seidel attempts abandoned by stall detection.
   [[nodiscard]] std::size_t stall_events() const noexcept { return stalls_; }
-  /// Number of kAuto solves answered by the banded GTH direct route.
+  /// Number of solves answered by the banded GTH direct route.
   [[nodiscard]] std::size_t direct_solves() const noexcept { return direct_solves_; }
 
   /// Drop all cached structure and scratch (counters are kept).
@@ -98,21 +101,16 @@ class StationarySolver {
   [[nodiscard]] bool structure_matches(const CsrMatrix& q) const noexcept;
   void prepare(const CsrMatrix& q);
 
-  SteadyStateResult solve_auto(const CsrMatrix& q, const SteadyStateOptions& opt);
   SteadyStateResult power_iteration(const CsrMatrix& q, const SteadyStateOptions& opt);
-  /// `allow_stall_exit` arms kAuto stall detection.  `direct_sweeps` > 0
-  /// (the banded GTH cost in nnz-sweeps) also arms the hand-off at the first
-  /// stall checkpoint, reported through `handed_off`, when the projected
-  /// remaining sweeps exceed it.
-  SteadyStateResult gauss_seidel(const CsrMatrix& q, const SteadyStateOptions& opt, double omega,
-                                 bool allow_stall_exit, double direct_sweeps = 0.0,
-                                 bool* handed_off = nullptr);
+  /// `direct_sweeps` > 0 (the banded GTH cost in nnz-sweeps) arms the
+  /// hand-off at the first stall checkpoint, reported through `handed_off`,
+  /// when the projected remaining sweeps exceed it.
+  SteadyStateResult gauss_seidel(const CsrMatrix& q, const SteadyStateOptions& opt,
+                                 double direct_sweeps = 0.0, bool* handed_off = nullptr);
   /// Banded GTH on the cached band; converged == false when the elimination
   /// breaks down (a censored chain with no way down: not a single
   /// recurrent class).
   SteadyStateResult banded_gth(const CsrMatrix& q);
-
-  SteadyStateOptions options_;
 
   // Cached structure of the last generator (reuse detection).
   std::vector<std::size_t> q_row_offsets_;

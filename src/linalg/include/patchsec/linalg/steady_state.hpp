@@ -1,69 +1,51 @@
 #pragma once
 /// \file steady_state.hpp
-/// \brief Steady-state solvers for irreducible CTMC generators: find the
+/// \brief Steady-state types for irreducible CTMC generators: the
 /// probability row vector pi with pi * Q = 0 and sum(pi) = 1.
 ///
-/// Two iterative methods are provided:
-///  * Power iteration on the uniformized DTMC  P = I + Q / Lambda.  Robust,
-///    always applicable, linear convergence.
-///  * Gauss-Seidel / SOR sweeps on the normal equations  Q^T x = 0, which
-///    converge much faster on the stiff generators produced by patch models
-///    (rates spanning 1e-5 .. 1e+1 per hour).
-/// The public entry point (SteadyStateMethod::kAuto) runs Gauss-Seidel, then
-/// a banded GTH direct solve when that is cheaper, then power iteration.
-/// Gauss-Seidel solves that converge within 32 sweeps are returned as they
-/// are.  A slower sweep is handed to the subtraction-free Grassmann-Taksar-
-/// Heyman elimination restricted to the generator's band when the band is
-/// narrow (a wide redundancy tier in reachability order).  Otherwise a stalled
-/// sweep (detected early by plateau projection rather than by exhausting the
-/// iteration budget) falls back to power iteration.
-///
-/// solve_steady_state() is the stateless convenience wrapper; callers that
-/// solve many same-structure generators should hold a
-/// linalg::StationarySolver (stationary_solver.hpp), which additionally
-/// caches the transposed generator, diagonal and scratch vectors across
-/// solves.  Both run the identical numerical path.
+/// There is one solve route and one entry point,
+/// linalg::StationarySolver::solve (stationary_solver.hpp).  It runs
+/// Gauss-Seidel sweeps on the normal equations Q^T x = 0 (fast on the stiff
+/// generators of patch models, rates spanning 1e-5 .. 1e+1 per hour), then a
+/// banded GTH direct solve when that is cheaper, then power iteration on the
+/// uniformized DTMC P = I + Q / Lambda.  Gauss-Seidel solves that converge
+/// within 32 sweeps are returned as they are.  A slower sweep is handed to the
+/// subtraction-free Grassmann-Taksar-Heyman elimination restricted to the
+/// generator's band when the band is narrow (a wide redundancy tier in
+/// reachability order).  Otherwise a stalled sweep (detected early by plateau
+/// projection rather than by exhausting the iteration budget) falls back to
+/// power iteration.  The route is picked from the generator and the
+/// convergence settings alone; SteadyStateResult::route reports it.
 
 #include <cstddef>
 #include <vector>
 
-#include "patchsec/linalg/csr_matrix.hpp"
-
 namespace patchsec::linalg {
-
-/// \brief Iteration scheme used by solve_steady_state().
-enum class SteadyStateMethod {
-  kPower,        ///< Power iteration on the uniformized DTMC P = I + Q/Lambda.
-  kGaussSeidel,  ///< Gauss-Seidel sweeps on Q^T x = 0.
-  kSor,          ///< Successive over-relaxation; omega from SteadyStateOptions.
-  kAuto,         ///< Gauss-Seidel, then banded GTH when cheaper, then power (default).
-};
 
 /// \brief Which numerical route produced a SteadyStateResult's distribution.
 enum class SteadyStateRoute {
-  kGaussSeidel,  ///< Gauss-Seidel or SOR sweeps.
+  kGaussSeidel,  ///< Gauss-Seidel sweeps.
   kPower,        ///< Power iteration on the uniformized DTMC.
-  kBandedGth,    ///< Banded GTH elimination (kAuto only; exact up to rounding).
+  kBandedGth,    ///< Banded GTH elimination (exact up to rounding).
 };
 
-/// \brief Tuning knobs for solve_steady_state().
+/// \brief Convergence settings of one StationarySolver::solve call.
 struct SteadyStateOptions {
-  SteadyStateMethod method = SteadyStateMethod::kAuto;
-  double tolerance = 1e-12;     ///< max-norm of successive-iterate difference.
-  std::size_t max_iterations = 200000;  ///< per attempted method.
-  double sor_relaxation = 1.0;  ///< omega for kSor (1.0 == plain Gauss-Seidel).
+  double tolerance = 1e-12;  ///< max-norm of successive-iterate difference; finite, > 0.
+  /// Iteration budget (> 0) of each stage that iterates: the per-solve work bound.
+  std::size_t max_iterations = 200000;
 };
 
 /// \brief Stationary distribution plus convergence diagnostics.
 struct SteadyStateResult {
   std::vector<double> distribution;  ///< stationary probabilities, sums to 1.
-  /// Iterations spent by the winning method.  A kBandedGth result reports
+  /// Iterations spent by the winning route.  A kBandedGth result reports
   /// the Gauss-Seidel sweeps run before the direct solve took over.
   std::size_t iterations = 0;
   double residual = 0.0;  ///< max-norm of pi*Q at the returned iterate.
   bool converged = false;  ///< false when max_iterations elapsed first.
-  /// kAuto only: the Gauss-Seidel attempt was abandoned early because its
-  /// sweep difference plateaued (projected sweeps-to-tolerance exceeded the
+  /// The Gauss-Seidel attempt was abandoned early because its sweep
+  /// difference plateaued (projected sweeps-to-tolerance exceeded the
   /// remaining budget), and banded GTH or power iteration took over.  Never
   /// set when the returned distribution converged via Gauss-Seidel, nor when
   /// the sweep was handed to banded GTH at its first checkpoint.
@@ -72,24 +54,6 @@ struct SteadyStateResult {
   /// solve and keeps the default).
   SteadyStateRoute route = SteadyStateRoute::kGaussSeidel;
 };
-
-/// \brief Solve pi * Q = 0, sum(pi) = 1 for a CTMC infinitesimal generator.
-///
-/// \param generator  Square CSR generator matrix Q (rows sum to ~0), indexed
-///                   by source state; typically ctmc::Ctmc::generator() on the
-///                   chain that petri::build_reachability_graph lowered from
-///                   an SRN (tangible markings only).
-/// \param options    Method selection and convergence tuning; the default
-///                   (kAuto) runs Gauss-Seidel, then banded GTH when cheaper,
-///                   then power iteration.
-/// \return Stationary distribution with iteration count, final residual and a
-///         convergence flag (the distribution is still normalized and usable
-///         as a best-effort estimate when \c converged is false).
-/// \throws std::invalid_argument when \p generator is empty or not square.
-/// \pre Q must be restricted to a single recurrent class; the SRN layer
-///      guarantees this by construction from a reachability graph.
-[[nodiscard]] SteadyStateResult solve_steady_state(const CsrMatrix& generator,
-                                                   const SteadyStateOptions& options = {});
 
 /// \brief Closed-form stationary distribution of a finite birth-death chain.
 ///

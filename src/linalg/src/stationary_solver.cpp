@@ -11,7 +11,7 @@ namespace patchsec::linalg {
 
 namespace {
 
-// Stall detection (kAuto Gauss-Seidel attempt only): sample the sweep
+// Stall detection (the Gauss-Seidel attempt): sample the sweep
 // difference every kStallCheckInterval sweeps, fit a geometric decay rate,
 // and abandon the attempt after kStallStrikes consecutive checkpoints whose
 // projected sweeps-to-tolerance exceed the remaining budget by
@@ -36,7 +36,7 @@ constexpr double kStallMinDiffFactor = 1e4;
 constexpr double kExactCheckWindow = 64.0;
 constexpr double kExactCheckHorizon = 64.0;
 
-// Banded GTH direct route (kAuto only).  It is eligible when its work
+// Banded GTH direct route.  It is eligible when its work
 // n*(bl+1)*(bu+1) is at most kDirectCostPerNnz nnz-sweeps, and it takes over
 // at the first stall checkpoint when the projected remaining Gauss-Seidel
 // sweeps cost more, or after a stall.  The back substitution rescales its
@@ -232,11 +232,10 @@ SteadyStateResult StationarySolver::banded_gth(const CsrMatrix& q) {
   return result;
 }
 
-// Gauss-Seidel/SOR on Q^T x = 0: x_i = omega * (-1/q_ii) * sum_{j!=i} q_ji x_j
-// + (1-omega) x_i.  The iterate is kept unnormalized (every update is
-// positively homogeneous, so the trajectory matches the classical
-// normalize-every-sweep scheme up to scale) and the convergence test runs
-// inside the sweep: with d = max_i |x_t[i] - x_{t-1}[i]| and the iterate sums
+// Gauss-Seidel on Q^T x = 0: x_i = (-1/q_ii) * sum_{j!=i} q_ji x_j.  The
+// iterate is kept unnormalized (every update is positively homogeneous, so the
+// trajectory matches the classical normalize-every-sweep scheme up to scale)
+// and the convergence test runs inside the sweep: with d = max_i |x_t[i] - x_{t-1}[i]| and the iterate sums
 // S_{t-1}, S_t, the normalized successive difference obeys
 //   max_i |x_t[i]/S_t - x_{t-1}[i]/S_{t-1}|
 //     <= d/S_{t-1} + max_i(x_t[i]) * |1/S_t - 1/S_{t-1}|,
@@ -248,13 +247,12 @@ SteadyStateResult StationarySolver::banded_gth(const CsrMatrix& q) {
 // is tight; the equivalence tests pin the iteration counts on the paper
 // models.
 SteadyStateResult StationarySolver::gauss_seidel(const CsrMatrix& q, const SteadyStateOptions& opt,
-                                                 double omega, bool allow_stall_exit,
                                                  double direct_sweeps, bool* handed_off) {
   const std::size_t n = q.rows();
   x_.assign(n, 1.0 / static_cast<double>(n));
   double sum_prev = 1.0;
 
-  // Stall-detection state (kAuto only).
+  // Stall-detection state.
   double checkpoint_diff = 0.0;
   std::size_t checkpoint_it = 0;
   int strikes = 0;
@@ -286,8 +284,7 @@ SteadyStateResult StationarySolver::gauss_seidel(const CsrMatrix& q, const Stead
       for (std::size_t k = t_row_offsets_[i]; k < t_row_offsets_[i + 1]; ++k) {
         acc += t_values_[k] * x_[t_col_indices_[k]];  // diagonal-free rows
       }
-      const double gs = -acc / diag_[i];
-      double next = omega * gs + (1.0 - omega) * xi;
+      double next = -acc / diag_[i];
       if (next < 0.0) next = 0.0;  // round-off guard; true solution is >= 0
       d = std::max(d, std::abs(next - xi));
       x_[i] = next;
@@ -334,7 +331,7 @@ SteadyStateResult StationarySolver::gauss_seidel(const CsrMatrix& q, const Stead
     }
 
     const double diff_now = d / sum;
-    if (allow_stall_exit && it - checkpoint_it >= kStallCheckInterval) {
+    if (it - checkpoint_it >= kStallCheckInterval) {
       if (checkpoint_it == 0 && direct_sweeps > 0.0) {
         // First checkpoint: hand the rest to banded GTH when the remaining
         // sweeps, projected from the last sweep's decay, cost more.
@@ -376,36 +373,23 @@ SteadyStateResult StationarySolver::gauss_seidel(const CsrMatrix& q, const Stead
   return result;
 }
 
-SteadyStateResult StationarySolver::solve(const CsrMatrix& generator) {
-  return solve(generator, options_);
-}
-
-SteadyStateResult StationarySolver::solve(const CsrMatrix& generator,
-                                          const SteadyStateOptions& options) {
-  if (generator.rows() == 0) throw std::invalid_argument("solve_steady_state: empty generator");
-  if (generator.rows() != generator.cols()) {
-    throw std::invalid_argument("solve_steady_state: generator must be square");
+SteadyStateResult StationarySolver::solve(const CsrMatrix& q, const SteadyStateOptions& opt) {
+  if (q.rows() == 0) throw std::invalid_argument("StationarySolver: empty generator");
+  if (q.rows() != q.cols()) {
+    throw std::invalid_argument("StationarySolver: generator must be square");
   }
-  if (generator.rows() == 1) {
+  if (!(std::isfinite(opt.tolerance) && opt.tolerance > 0.0)) {
+    throw std::invalid_argument("StationarySolver: tolerance must be finite and > 0");
+  }
+  if (opt.max_iterations == 0) {
+    throw std::invalid_argument("StationarySolver: max_iterations must be > 0");
+  }
+  if (q.rows() == 1) {
     return {.distribution = {1.0}, .iterations = 0, .residual = 0.0, .converged = true};
   }
   ++solves_;
-  prepare(generator);
+  prepare(q);
 
-  switch (options.method) {
-    case SteadyStateMethod::kPower:
-      return power_iteration(generator, options);
-    case SteadyStateMethod::kGaussSeidel:
-      return gauss_seidel(generator, options, 1.0, /*allow_stall_exit=*/false);
-    case SteadyStateMethod::kSor:
-      return gauss_seidel(generator, options, options.sor_relaxation, /*allow_stall_exit=*/false);
-    case SteadyStateMethod::kAuto:
-      return solve_auto(generator, options);
-  }
-  throw std::logic_error("solve_steady_state: unknown method");
-}
-
-SteadyStateResult StationarySolver::solve_auto(const CsrMatrix& q, const SteadyStateOptions& opt) {
   // Banded GTH work n*(bl+1)*(bu+1) in nnz-sweeps; infinite for an empty
   // generator.
   const double direct_sweeps = static_cast<double>(q.rows()) *
@@ -414,8 +398,7 @@ SteadyStateResult StationarySolver::solve_auto(const CsrMatrix& q, const SteadyS
                                static_cast<double>(q.nnz());
   const bool banded = direct_sweeps <= kDirectCostPerNnz;
   bool handed_off = false;
-  SteadyStateResult gs = gauss_seidel(q, opt, 1.0, /*allow_stall_exit=*/true,
-                                      banded ? direct_sweeps : 0.0, &handed_off);
+  SteadyStateResult gs = gauss_seidel(q, opt, banded ? direct_sweeps : 0.0, &handed_off);
   if (gs.converged && gs.residual < 1e-8) return gs;
   // A sweep that merely ran out of budget is not handed over: the budget is
   // the caller's, and the power fallback reports its exhaustion as before.
@@ -429,7 +412,7 @@ SteadyStateResult StationarySolver::solve_auto(const CsrMatrix& q, const SteadyS
     }
     // Breakdown (no single recurrent class): finish as the sweep alone would.
     if (handed_off) {
-      gs = gauss_seidel(q, opt, 1.0, /*allow_stall_exit=*/true);
+      gs = gauss_seidel(q, opt);
       if (gs.converged && gs.residual < 1e-8) return gs;
     }
   }

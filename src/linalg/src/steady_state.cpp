@@ -2,18 +2,9 @@
 
 #include <stdexcept>
 
-#include "patchsec/linalg/stationary_solver.hpp"
 #include "patchsec/linalg/vector_ops.hpp"
 
 namespace patchsec::linalg {
-
-SteadyStateResult solve_steady_state(const CsrMatrix& generator,
-                                     const SteadyStateOptions& options) {
-  // Thin wrapper: the numerical paths (and all validation) live in
-  // StationarySolver; a throwaway workspace keeps this entry point stateless.
-  StationarySolver solver;
-  return solver.solve(generator, options);
-}
 
 std::vector<double> birth_death_steady_state(const std::vector<double>& birth,
                                              const std::vector<double>& death) {

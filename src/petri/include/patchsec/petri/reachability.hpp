@@ -32,8 +32,8 @@ struct ReachabilityOptions {
 };
 
 /// \brief End-to-end solver configuration for one SRN analysis: reachability
-/// limits plus the steady-state solver knobs handed to
-/// linalg::solve_steady_state.  This is the lowered form of the facade's
+/// limits plus the convergence settings handed to
+/// linalg::StationarySolver::solve.  This is the lowered form of the facade's
 /// core::EngineOptions.
 struct AnalyzerOptions {
   ReachabilityOptions reachability;
@@ -105,7 +105,7 @@ class SrnAnalyzer {
  public:
   explicit SrnAnalyzer(const SrnModel& model, const ReachabilityOptions& options = {});
 
-  /// Full solver configuration: reachability limits plus steady-state method,
+  /// Full solver configuration: reachability limits plus steady-state
   /// tolerance and iteration budget.  diagnostics() reports how the solve
   /// went; with options.throw_on_divergence == false a non-converged solve is
   /// recorded there instead of thrown.  A non-null `workspace` routes the

@@ -620,9 +620,9 @@ double FactoredAnalyzer::reward_curve(const SeparableReward& reward,
   check_reward(reward);
   if (grid.empty()) throw std::invalid_argument("FactoredAnalyzer::reward_curve: empty grid");
   for (std::size_t j = 0; j < grid.size(); ++j) {
-    if (!(grid[j] >= 0.0) || (j > 0 && grid[j] < grid[j - 1])) {
+    if (!std::isfinite(grid[j]) || grid[j] < 0.0 || (j > 0 && grid[j] < grid[j - 1])) {
       throw std::invalid_argument(
-          "FactoredAnalyzer::reward_curve: grid must be ascending and non-negative");
+          "FactoredAnalyzer::reward_curve: grid must be ascending, finite and non-negative");
     }
   }
   const auto t0 = std::chrono::steady_clock::now();

@@ -395,9 +395,7 @@ SrnAnalyzer::SrnAnalyzer(const SrnModel& model, const AnalyzerOptions& options,
                          linalg::StationarySolver* workspace) {
   const auto start = std::chrono::steady_clock::now();
   graph_ = build_reachability_graph(model, options.reachability);
-  const linalg::SteadyStateResult ss =
-      workspace != nullptr ? graph_.chain.steady_state(*workspace, options.steady_state)
-                           : graph_.chain.steady_state(options.steady_state);
+  const linalg::SteadyStateResult ss = graph_.chain.steady_state(options.steady_state, workspace);
   diagnostics_.tangible_states = graph_.tangible_count();
   diagnostics_.vanishing_markings = graph_.vanishing_markings_seen;
   diagnostics_.transitions = graph_.chain.transitions().size();

@@ -308,7 +308,10 @@ TransientCurveEstimate SrnSimulator::transient_reward_curve(const petri::RewardF
   if (time_points.empty()) throw std::invalid_argument("transient_reward_curve: empty time grid");
   double previous = 0.0;
   for (double t : time_points) {
-    if (t < 0.0) throw std::invalid_argument("transient_reward_curve: negative time point");
+    if (!std::isfinite(t) || t < 0.0) {
+      throw std::invalid_argument(
+          "transient_reward_curve: time points must be finite and non-negative");
+    }
     if (t < previous) {
       throw std::invalid_argument("transient_reward_curve: time grid must be ascending");
     }

@@ -8,6 +8,7 @@
 
 #include "patchsec/linalg/csr_matrix.hpp"
 #include "patchsec/linalg/dense_matrix.hpp"
+#include "patchsec/linalg/stationary_solver.hpp"
 #include "patchsec/linalg/steady_state.hpp"
 #include "patchsec/linalg/vector_ops.hpp"
 
@@ -216,49 +217,38 @@ la::CsrMatrix two_state_generator(double a, double b) {
 
 }  // namespace
 
-class SteadyStateMethods : public ::testing::TestWithParam<la::SteadyStateMethod> {};
-
-TEST_P(SteadyStateMethods, TwoStateChainMatchesClosedForm) {
+TEST(SteadyState, TwoStateChainMatchesClosedForm) {
   const double a = 0.003, b = 1.7;
-  la::SteadyStateOptions opt;
-  opt.method = GetParam();
-  const la::SteadyStateResult r = la::solve_steady_state(two_state_generator(a, b), opt);
+  const la::SteadyStateResult r = la::StationarySolver().solve(two_state_generator(a, b));
   ASSERT_TRUE(r.converged);
   EXPECT_NEAR(r.distribution[0], b / (a + b), 1e-9);
   EXPECT_NEAR(r.distribution[1], a / (a + b), 1e-9);
   EXPECT_LT(r.residual, 1e-8);
 }
 
-TEST_P(SteadyStateMethods, StiffRatesStillConverge) {
+TEST(SteadyState, StiffRatesStillConverge) {
   // Rates spanning 8 orders of magnitude, like patch models.
   const double a = 1e-5, b = 1e3;
-  la::SteadyStateOptions opt;
-  opt.method = GetParam();
-  const la::SteadyStateResult r = la::solve_steady_state(two_state_generator(a, b), opt);
+  const la::SteadyStateResult r = la::StationarySolver().solve(two_state_generator(a, b));
+  EXPECT_TRUE(r.converged);
   EXPECT_NEAR(r.distribution[0], b / (a + b), 1e-9);
 }
 
-INSTANTIATE_TEST_SUITE_P(AllMethods, SteadyStateMethods,
-                         ::testing::Values(la::SteadyStateMethod::kPower,
-                                           la::SteadyStateMethod::kGaussSeidel,
-                                           la::SteadyStateMethod::kSor,
-                                           la::SteadyStateMethod::kAuto));
-
 TEST(SteadyState, SingleStateChain) {
   const la::CsrMatrix q(1, 1, {});
-  const la::SteadyStateResult r = la::solve_steady_state(q);
+  const la::SteadyStateResult r = la::StationarySolver().solve(q);
   EXPECT_DOUBLE_EQ(r.distribution[0], 1.0);
   EXPECT_TRUE(r.converged);
 }
 
 TEST(SteadyState, EmptyGeneratorThrows) {
   const la::CsrMatrix q;
-  EXPECT_THROW(la::solve_steady_state(q), std::invalid_argument);
+  EXPECT_THROW((void)la::StationarySolver().solve(q), std::invalid_argument);
 }
 
 TEST(SteadyState, NonSquareThrows) {
   const la::CsrMatrix q(2, 3, {});
-  EXPECT_THROW(la::solve_steady_state(q), std::invalid_argument);
+  EXPECT_THROW((void)la::StationarySolver().solve(q), std::invalid_argument);
 }
 
 TEST(SteadyState, CyclicChainUniform) {
@@ -266,7 +256,7 @@ TEST(SteadyState, CyclicChainUniform) {
   const la::CsrMatrix q(3, 3,
                         {{0, 0, -1.0}, {0, 1, 1.0}, {1, 1, -1.0}, {1, 2, 1.0},
                          {2, 2, -1.0}, {2, 0, 1.0}});
-  const la::SteadyStateResult r = la::solve_steady_state(q);
+  const la::SteadyStateResult r = la::StationarySolver().solve(q);
   for (double p : r.distribution) EXPECT_NEAR(p, 1.0 / 3.0, 1e-9);
 }
 
@@ -290,7 +280,7 @@ TEST(SteadyState, RandomBirthDeathMatchesClosedForm) {
       entries.push_back({i + 1, i + 1, -death[i]});
     }
     const la::CsrMatrix q(n + 1, n + 1, entries);
-    const la::SteadyStateResult r = la::solve_steady_state(q);
+    const la::SteadyStateResult r = la::StationarySolver().solve(q);
     ASSERT_EQ(r.distribution.size(), pi_closed.size());
     for (std::size_t i = 0; i <= n; ++i) EXPECT_NEAR(r.distribution[i], pi_closed[i], 1e-8);
   }

@@ -20,6 +20,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <random>
 #include <set>
@@ -743,5 +744,21 @@ TEST(Factored, ValidationErrors) {
     const auto assignment = pt::component_transitions(model, split);
     ASSERT_EQ(assignment.size(), 1u);
     EXPECT_EQ(assignment[0].size(), 2u);
+  }
+  {  // transient grids must be finite: the >= 0 check stops NaN but not inf
+    pt::ComponentSplit split;
+    split.components = {{a, b}};
+    const pt::FactoredAnalyzer factored(model, split);
+    pt::SeparableReward reward;
+    reward.terms.push_back(
+        {1.0, {[a](const pt::Marking& m) { return static_cast<double>(m[a]); }}});
+    std::vector<double> values;
+    EXPECT_NO_THROW((void)factored.reward_curve(reward, {0.5, 2.0}, values));
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const std::vector<double>& grid :
+         {std::vector<double>{1.0, std::nan(""), 2.0}, std::vector<double>{1.0, inf},
+          std::vector<double>{inf}}) {
+      EXPECT_THROW((void)factored.reward_curve(reward, grid, values), std::invalid_argument);
+    }
   }
 }

@@ -9,6 +9,8 @@
 
 #include "patchsec/avail/network_srn.hpp"
 #include "patchsec/core/session.hpp"
+#include "patchsec/linalg/dense_matrix.hpp"
+#include "patchsec/linalg/stationary_solver.hpp"
 #include "patchsec/linalg/steady_state.hpp"
 #include "patchsec/petri/reachability.hpp"
 #include "patchsec/sim/srn_simulator.hpp"
@@ -86,7 +88,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomNetCrossValidation, ::testing::Range(0, 8)
 
 class RandomChainSolvers : public ::testing::TestWithParam<int> {};
 
-TEST_P(RandomChainSolvers, AllMethodsAgreeOnRandomGenerators) {
+TEST_P(RandomChainSolvers, MatchesDenseDirectSolveOnRandomGenerators) {
   // Random irreducible generator: ring + random extra edges.
   std::mt19937_64 rng(static_cast<std::uint64_t>(GetParam()) * 104729u + 7u);
   std::uniform_int_distribution<std::size_t> size(2, 12);
@@ -110,16 +112,24 @@ TEST_P(RandomChainSolvers, AllMethodsAgreeOnRandomGenerators) {
   }
   const la::CsrMatrix q(n, n, entries);
 
-  la::SteadyStateOptions opt;
-  opt.method = la::SteadyStateMethod::kGaussSeidel;
-  const auto gs = la::solve_steady_state(q, opt);
-  opt.method = la::SteadyStateMethod::kPower;
-  const auto pw = la::solve_steady_state(q, opt);
-  ASSERT_EQ(gs.distribution.size(), pw.distribution.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_NEAR(gs.distribution[i], pw.distribution[i], 1e-7) << "state " << i;
+  // Independent oracle: LU on Q^T pi = 0 with the last balance equation
+  // replaced by the normalization sum(pi) = 1.
+  la::DenseMatrix balance(n, n);
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) balance(i, j) = q.at(j, i);
   }
-  EXPECT_LT(gs.residual, 1e-8);
+  for (std::size_t j = 0; j < n; ++j) balance(n - 1, j) = 1.0;
+  std::vector<double> unit(n, 0.0);
+  unit[n - 1] = 1.0;
+  const std::vector<double> direct = balance.solve(unit);
+
+  const la::SteadyStateResult r = la::StationarySolver().solve(q);
+  EXPECT_TRUE(r.converged);
+  ASSERT_EQ(r.distribution.size(), n);
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_NEAR(r.distribution[i], direct[i], 1e-9) << "state " << i;
+  }
+  EXPECT_LT(r.residual, 1e-8);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomChainSolvers, ::testing::Range(0, 12));

@@ -418,6 +418,18 @@ TEST(EvalService, SolveErrorsPropagateThroughTheFuture) {
   EXPECT_EQ(stats.cache.insertions, 0u);
 }
 
+TEST(EvalService, ConstructionRejectsUnusableSolverSettings) {
+  // Fails fast at construction, before a worker starts or a request queues.
+  core::EngineOptions bad_tolerance;
+  bad_tolerance.steady_state.tolerance = std::nan("");
+  EXPECT_THROW(svc::EvalService(core::Scenario::paper_case_study().with_engine(bad_tolerance)),
+               std::invalid_argument);
+  core::EngineOptions bad_epsilon;
+  bad_epsilon.uniformization.epsilon = -1.0;
+  EXPECT_THROW(svc::EvalService(core::Scenario::paper_case_study().with_engine(bad_epsilon)),
+               std::invalid_argument);
+}
+
 TEST(EvalService, WorkspaceSlotsArePinnedPerWorker) {
   // Each worker thread owns its own SolverWorkspaces slot inside the
   // service's Session — N workers, N slots, none shared with this thread.

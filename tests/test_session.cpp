@@ -1,6 +1,6 @@
 // Tests for the Scenario/Session evaluation API: builder defaults and
 // validation, end-to-end EngineOptions plumbing (observable as
-// iteration-count changes reported from linalg::solve_steady_state), solver
+// iteration-count changes reported from linalg::StationarySolver), solver
 // diagnostics in EvalReport, schedule sweeps and parallel batches.
 
 #include <gtest/gtest.h>
@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -31,7 +32,8 @@ TEST(Scenario, DefaultsMatchThePaperConventions) {
   EXPECT_DOUBLE_EQ(s.patch_interval_hours(), 720.0);  // monthly
   EXPECT_FALSE(s.engine().parallel);
   EXPECT_FALSE(s.engine().throw_on_divergence);
-  EXPECT_EQ(s.engine().steady_state.method, linalg::SteadyStateMethod::kAuto);
+  EXPECT_EQ(s.engine().steady_state.tolerance, 1e-12);
+  EXPECT_EQ(s.engine().steady_state.max_iterations, 200000u);
 }
 
 TEST(Scenario, PaperCaseStudyCarriesTheFullCaseStudy) {
@@ -69,6 +71,29 @@ TEST(Scenario, ValidationRejectsBadSchedules) {
                std::invalid_argument);
 }
 
+TEST(Scenario, ValidationRejectsUnusableSolverSettings) {
+  // A tolerance the sweep can never meet used to burn every stage's full
+  // iteration budget; an epsilon outside (0, 1) used to return a wrong
+  // transient curve (NaN) or a misleading max_terms error (negative).
+  // Both are refused before any solve, by Session construction too.
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double tolerance : {nan, inf, 0.0, -1.0}) {
+    core::EngineOptions engine;
+    engine.steady_state.tolerance = tolerance;
+    const core::Scenario s = core::Scenario::paper_case_study().with_engine(engine);
+    EXPECT_THROW(s.validate(), std::invalid_argument) << tolerance;
+    EXPECT_THROW(core::Session{s}, std::invalid_argument) << tolerance;
+  }
+  for (const double epsilon : {nan, inf, 0.0, -1.0, 1.0}) {
+    core::EngineOptions engine;
+    engine.uniformization.epsilon = epsilon;
+    const core::Scenario s = core::Scenario::paper_case_study().with_engine(engine);
+    EXPECT_THROW(s.validate(), std::invalid_argument) << epsilon;
+    EXPECT_THROW(core::Session{s}, std::invalid_argument) << epsilon;
+  }
+}
+
 TEST(Scenario, ValidationRejectsDesignsWithoutSpecs) {
   // A design deploying a WEB tier while only a DB spec exists.
   core::Scenario s = core::Scenario()
@@ -87,9 +112,8 @@ TEST(Scenario, ValidationRejectsDesignsWithoutSpecs) {
 TEST(EngineOptions, ToleranceReachesTheSteadyStateSolver) {
   // A looser tolerance must stop the (identical) Gauss-Seidel iteration
   // earlier: the reported iteration counts prove the options reach
-  // linalg::solve_steady_state through core -> avail -> petri -> ctmc.
+  // linalg::StationarySolver::solve through core -> avail -> petri -> ctmc.
   core::EngineOptions tight;
-  tight.steady_state.method = linalg::SteadyStateMethod::kGaussSeidel;
   tight.steady_state.tolerance = 1e-12;
   core::EngineOptions loose = tight;
   loose.steady_state.tolerance = 1e-6;
@@ -112,23 +136,6 @@ TEST(EngineOptions, ToleranceReachesTheSteadyStateSolver) {
   // Both tolerances still reproduce the paper's COA.
   EXPECT_NEAR(a.coa, 0.99707, 5e-6);
   EXPECT_NEAR(b.coa, 0.99707, 1e-3);
-}
-
-TEST(EngineOptions, MethodSelectionReachesTheSteadyStateSolver) {
-  // Power iteration on these stiff generators needs far more iterations than
-  // Gauss-Seidel; observing that difference proves method selection lands.
-  core::EngineOptions gauss;
-  gauss.steady_state.method = linalg::SteadyStateMethod::kGaussSeidel;
-  core::EngineOptions power;
-  power.steady_state.method = linalg::SteadyStateMethod::kPower;
-  power.steady_state.tolerance = 1e-8;  // keep the power run bounded
-
-  const core::Session gauss_session(core::Scenario::paper_case_study().with_engine(gauss));
-  const core::Session power_session(core::Scenario::paper_case_study().with_engine(power));
-
-  const auto g = gauss_session.evaluate(ent::example_network_design());
-  const auto p = power_session.evaluate(ent::example_network_design());
-  EXPECT_GT(p.total_solver_iterations(), g.total_solver_iterations());
 }
 
 TEST(EngineOptions, ReachabilityLimitsReachTheExplorer) {

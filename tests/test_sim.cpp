@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "patchsec/petri/reachability.hpp"
@@ -456,6 +457,13 @@ TEST(TransientCurve, Validation) {
   EXPECT_THROW((void)simulator.transient_reward_curve(reward, {1.0, 0.5}, opt),
                std::invalid_argument);
   EXPECT_THROW((void)simulator.transient_reward_curve(reward, {-1.0}, opt),
+               std::invalid_argument);
+  // Non-finite points: NaN used to pass the ordering checks, and an infinite
+  // horizon would simulate forever.
+  EXPECT_THROW((void)simulator.transient_reward_curve(reward, {1.0, std::nan(""), 2.0}, opt),
+               std::invalid_argument);
+  EXPECT_THROW((void)simulator.transient_reward_curve(
+                   reward, {1.0, std::numeric_limits<double>::infinity()}, opt),
                std::invalid_argument);
   opt.replications = 1;
   EXPECT_THROW((void)simulator.transient_reward_curve(reward, {1.0}, opt),

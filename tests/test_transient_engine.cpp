@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -60,6 +61,25 @@ TEST(TransientGrid, ExplicitGridWinsAndIsValidated) {
   engine.horizon_hours = 24.0;
   engine.transient_points = 1;
   EXPECT_THROW((void)engine.transient_grid(), std::invalid_argument);
+}
+
+TEST(TransientGrid, NonFiniteTimesAreRejected) {
+  // NaN used to pass the ordering checks, and an infinite horizon produced
+  // grid[0] = 0 * inf = NaN.
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  core::EngineOptions engine;
+  for (const std::vector<double>& points :
+       {std::vector<double>{1.0, nan, 2.0}, std::vector<double>{1.0, inf},
+        std::vector<double>{nan}}) {
+    engine.time_points = points;
+    EXPECT_THROW((void)engine.transient_grid(), std::invalid_argument);
+  }
+  engine.time_points.clear();
+  for (const double horizon : {nan, inf}) {
+    engine.horizon_hours = horizon;
+    EXPECT_THROW((void)engine.transient_grid(), std::invalid_argument) << horizon;
+  }
 }
 
 // ---------- analytic backend -------------------------------------------------

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <random>
 #include <vector>
 
@@ -205,6 +206,63 @@ TEST(TransientSolver, CurveValidation) {
                std::invalid_argument);
   EXPECT_THROW((void)solver.reward_curve({0.0, 0.0}, {1.0, 0.0}, {1.0}, values),
                std::domain_error);
+}
+
+TEST(TransientSolver, NonFiniteTimesAreRejected) {
+  // A NaN point used to pass the ordering checks and come back as 0 (after
+  // a NaN-to-size_t cast in the Poisson window); inf took the same path.
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  const ct::Ctmc c = up_down(1.0, 1.0);
+  for (const auto kernel :
+       {ct::TransientOptions::Kernel::kAuto, ct::TransientOptions::Kernel::kScalar}) {
+    ct::TransientOptions options;
+    options.kernel = kernel;
+    ct::TransientSolver solver(options);
+    solver.prepare(c);
+    std::vector<double> values;
+    std::vector<std::vector<double>> curves;
+    for (const std::vector<double>& grid :
+         {std::vector<double>{1.0, nan, 2.0}, std::vector<double>{1.0, inf},
+          std::vector<double>{nan}}) {
+      EXPECT_THROW((void)solver.reward_curve({1.0, 0.0}, {1.0, 0.0}, grid, values),
+                   std::invalid_argument);
+      EXPECT_THROW((void)solver.reward_curve_multi({{1.0, 0.0}}, {1.0, 0.0}, grid, curves),
+                   std::invalid_argument);
+    }
+    std::vector<double> pi;
+    for (const double t : {nan, inf}) {
+      EXPECT_THROW(solver.distribution_at({1.0, 0.0}, t, pi), std::invalid_argument);
+      EXPECT_THROW((void)solver.reward_at({1.0, 0.0}, {1.0, 0.0}, t), std::invalid_argument);
+      EXPECT_THROW((void)solver.accumulated_reward({1.0, 0.0}, {1.0, 0.0}, t),
+                   std::invalid_argument);
+    }
+    EXPECT_EQ(solver.diagnostics().matvec_count, 0u);
+  }
+}
+
+TEST(TransientSolver, EpsilonOutsideTheUnitIntervalIsRejected) {
+  // NaN used to return a wrong curve silently and -1 a misleading max_terms
+  // error; every value outside (0, 1) is refused before any sweep.
+  const ct::Ctmc c = up_down(1.0, 1.0);
+  for (const double epsilon :
+       {std::nan(""), std::numeric_limits<double>::infinity(), 0.0, -1.0, 1.0}) {
+    ct::TransientOptions options;
+    options.epsilon = epsilon;
+    ct::TransientSolver solver(options);
+    solver.prepare(c);
+    std::vector<double> pi, values;
+    EXPECT_THROW(solver.distribution_at({1.0, 0.0}, 1.0, pi), std::invalid_argument) << epsilon;
+    EXPECT_THROW((void)solver.reward_curve({1.0, 0.0}, {1.0, 0.0}, {1.0}, values),
+                 std::invalid_argument)
+        << epsilon;
+    options.kernel = ct::TransientOptions::Kernel::kScalar;
+    solver.set_options(options);
+    EXPECT_THROW((void)solver.reward_curve({1.0, 0.0}, {1.0, 0.0}, {1.0}, values),
+                 std::invalid_argument)
+        << epsilon;
+    EXPECT_EQ(solver.diagnostics().matvec_count, 0u) << epsilon;
+  }
 }
 
 TEST(TransientSolver, OnePassSweepCountIsTheHorizonRightPoint) {
