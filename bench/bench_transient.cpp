@@ -1,6 +1,6 @@
 // Transient engine benchmarks: curve-evaluation throughput vs grid size
-// (the stepping scheme makes a G-point curve cost ~one horizon of matvecs,
-// not G of them) and the TransientSolver workspace-reuse win (the second
+// (the one-pass reward series makes a G-point curve cost one horizon of
+// matvecs, whatever G) and the TransientSolver workspace-reuse win (the second
 // curve on the same CTMC skips the generator + uniformized-matrix build).
 //
 // The workspace-reuse claim is ASSERTED on every run, not just printed: the
@@ -92,10 +92,10 @@ void print_grid_scaling() {
     std::printf("%12zu %14.4f %12zu %22.4f\n", points, best * 1e3, matvecs,
                 best * 1e6 / static_cast<double>(points));
   }
-  std::printf("\nReading: the stepped evaluation re-anchors at each grid point, so the\n"
-              "matvec total grows far sub-linearly with grid density (each step pays a\n"
-              "Poisson window over its own short dt) — dense curves cost a fraction of\n"
-              "per-point re-evaluation from t=0.\n\n");
+  std::printf("\nReading: one backward reward series, run to the Poisson right point\n"
+              "of the horizon, serves every grid point, so the matvec count does not\n"
+              "grow with grid density — denser curves pay only the per-point Poisson\n"
+              "mixing of the stored series dots.\n\n");
 }
 
 // The asserted workspace-reuse study: fresh solver (generator + uniformized

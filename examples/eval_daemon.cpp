@@ -12,8 +12,9 @@
 // Fields: "design" is [DNS, WEB, APP, DB] replica counts (defaults to the
 // paper's example network), "cadence" is the patch interval in hours (0 or
 // absent = the scenario's schedule), "wave" maps role names to servers down
-// at t = 0 (transient only; absent = all up).  Replies preserve request ids
-// and arrive in submit order.
+// at t = 0 (transient only; absent = all up).  Every count must be a whole
+// number in [0, UINT_MAX]; any other value gets an error reply.  Replies
+// preserve request ids and arrive in submit order.
 //
 // Reply lines:
 //   {"id": 1, "ok": true, "coa": 0.997069, "asp_before": 1.0, "asp_after": 0.3,
@@ -26,8 +27,9 @@
 //
 // `--demo` feeds the daemon a small scripted request mix instead of stdin
 // (the CI smoke mode — exercises solve, cache hit, transient batching and
-// error replies) and exits nonzero unless every emitted line parses as JSON
-// and the reply ids come back in submit order.
+// error replies) and exits nonzero unless every emitted line parses as JSON,
+// the reply ids come back in submit order, and exactly the bad requests
+// reply "ok": false.
 
 #include <cctype>
 #include <cmath>
@@ -37,8 +39,10 @@
 #include <exception>
 #include <future>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -230,6 +234,19 @@ std::optional<enterprise::ServerRole> role_from_name(const std::string& name) {
   return std::nullopt;
 }
 
+// A server count: a JSON number that is a whole value in [0, UINT_MAX].
+// Anything else is refused, never cast (a negative or out-of-range cast
+// would name a different design or wave, or be undefined).
+unsigned count_of(const JsonValue& value, const std::string& what) {
+  const double x = value.number;
+  if (value.type != JsonValue::Type::kNumber || !std::isfinite(x) || x < 0.0 ||
+      x != std::floor(x) || x > static_cast<double>(std::numeric_limits<unsigned>::max())) {
+    throw std::runtime_error(what + " must be a whole number of servers in [0, " +
+                             std::to_string(std::numeric_limits<unsigned>::max()) + "]");
+  }
+  return static_cast<unsigned>(x);
+}
+
 service::EvalRequest decode_request(const JsonValue& json) {
   service::EvalRequest request;
   request.design = enterprise::example_network_design();
@@ -238,7 +255,7 @@ service::EvalRequest decode_request(const JsonValue& json) {
       throw std::runtime_error("design must be [DNS, WEB, APP, DB] counts");
     }
     for (std::size_t i = 0; i < enterprise::kRoleCount; ++i) {
-      request.design.counts[i] = static_cast<unsigned>(design->array[i].number);
+      request.design.counts[i] = count_of(design->array[i], "design count");
     }
   }
   if (const JsonValue* cadence = json.find("cadence")) {
@@ -257,7 +274,7 @@ service::EvalRequest decode_request(const JsonValue& json) {
     for (const auto& [name, count] : wave->object) {
       const std::optional<enterprise::ServerRole> role = role_from_name(name);
       if (!role) throw std::runtime_error("unknown role in wave: " + name);
-      request.wave[*role] = static_cast<unsigned>(count.number);
+      request.wave[*role] = count_of(count, "wave count for " + name);
     }
   }
   return request;
@@ -384,9 +401,11 @@ int run(std::istream& in, std::ostream& out, bool echo_input) {
   return 0;
 }
 
-// Checks a --demo transcript: every emitted line must parse as JSON, and the
-// reply ids must be the script's request ids, each once, in submit order.
-bool transcript_is_valid(const std::string& script, const std::string& transcript) {
+// Checks a --demo transcript: every emitted line must parse as JSON, the
+// reply ids must be the script's request ids, each once, in submit order,
+// and exactly the ids in `failing` must reply "ok": false.
+bool transcript_is_valid(const std::string& script, const std::string& transcript,
+                         const std::set<long long>& failing) {
   std::vector<long long> submitted;
   std::istringstream requests(script);
   std::string line;
@@ -400,7 +419,16 @@ bool transcript_is_valid(const std::string& script, const std::string& transcrip
     if (line.rfind("> ", 0) == 0) continue;  // echoed input
     try {
       const JsonValue json = JsonParser(line).parse();
-      if (const std::optional<long long> id = id_of(json)) replied.push_back(*id);
+      const std::optional<long long> id = id_of(json);
+      if (!id) continue;
+      replied.push_back(*id);
+      const JsonValue* ok = json.find("ok");
+      const bool expect_ok = failing.count(*id) == 0;
+      if (ok == nullptr || ok->type != JsonValue::Type::kBool || ok->boolean != expect_ok) {
+        std::cerr << "demo: request " << *id << " should reply \"ok\": "
+                  << (expect_ok ? "true" : "false") << ": " << line << '\n';
+        return false;
+      }
     } catch (const std::exception& e) {
       std::cerr << "demo: emitted line is not JSON (" << e.what() << "): " << line << '\n';
       return false;
@@ -421,8 +449,10 @@ int main(int argc, char** argv) {
 
   // Scripted smoke mix: a solve, an exact repeat (cache hit), a second
   // design, a batch of transient waves sharing one structure, a slower solve
-  // followed by two bad requests (whose errors must still leave in submit
-  // order, carry their ids and stay valid JSON), and stats.
+  // followed by bad requests (whose errors must still leave in submit
+  // order, carry their ids and stay valid JSON: an unknown role, a short
+  // design, and counts that are negative, fractional or out of range), and
+  // stats.
   const std::string script = R"({"id": 1, "kind": "steady", "design": [1, 2, 2, 1]}
 {"id": 2, "kind": "steady", "design": [1, 2, 2, 1]}
 {"id": 3, "kind": "steady", "design": [1, 1, 1, 1], "cadence": 360}
@@ -431,6 +461,9 @@ int main(int argc, char** argv) {
 {"id": 6, "kind": "steady", "design": [3, 3, 3, 3]}
 {"id": 7, "kind": "transient", "design": [1, 2, 2, 1], "wave": {"W\"EB": 1}}
 {"id": 8, "kind": "steady", "design": [1, 2, 2]}
+{"id": 9, "kind": "transient", "design": [1, 2, 2, 1], "wave": {"WEB": -1}}
+{"id": 10, "kind": "steady", "design": [1, 2.7, 2, 1]}
+{"id": 11, "kind": "transient", "design": [1, 2, 2, 1], "wave": {"WEB": 1e30}}
 {"cmd": "stats"}
 {"cmd": "shutdown"}
 )";
@@ -438,5 +471,6 @@ int main(int argc, char** argv) {
   std::ostringstream transcript;
   const int status = run(in, transcript, /*echo_input=*/true);
   std::cout << transcript.str();
-  return status == 0 && transcript_is_valid(script, transcript.str()) ? 0 : 1;
+  const bool valid = transcript_is_valid(script, transcript.str(), {7, 8, 9, 10, 11});
+  return status == 0 && valid ? 0 : 1;
 }

@@ -90,10 +90,19 @@ struct CoaCurveEvaluation {
     const std::vector<std::map<enterprise::ServerRole, unsigned>>& waves,
     const TransientCoaOptions& options = {}, ctmc::TransientSolver* workspace = nullptr);
 
-/// The patch-window entry marking of `net`: per role, `wave` servers
-/// (clamped to the tier size) moved from up to down.  Shared by the analytic
-/// path above and the simulation backend (which must start its replications
-/// from the same marking for the differential cross-check to be meaningful).
+/// `wave` in canonical form for `design`: per deployed role, the servers
+/// down clamped to the tier size; roles the design does not deploy and roles
+/// with nothing down are dropped.  Two waves start from the same patch-window
+/// marking exactly when their canonical forms are equal.
+[[nodiscard]] std::map<enterprise::ServerRole, unsigned> canonical_wave(
+    const enterprise::RedundancyDesign& design,
+    const std::map<enterprise::ServerRole, unsigned>& wave);
+
+/// The patch-window entry marking of `net`: per role of
+/// canonical_wave(net.design, wave), that many servers moved from up to
+/// down.  Shared by the analytic path above and the simulation backend
+/// (which must start its replications from the same marking for the
+/// differential cross-check to be meaningful).
 [[nodiscard]] petri::Marking patch_window_marking(
     const NetworkSrn& net, const std::map<enterprise::ServerRole, unsigned>& wave);
 

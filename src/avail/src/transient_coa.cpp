@@ -63,15 +63,24 @@ double seconds_since(Clock::time_point start) {
 
 }  // namespace
 
+std::map<enterprise::ServerRole, unsigned> canonical_wave(
+    const enterprise::RedundancyDesign& design,
+    const std::map<enterprise::ServerRole, unsigned>& wave) {
+  std::map<enterprise::ServerRole, unsigned> canonical;
+  for (const auto& [role, down] : wave) {
+    const unsigned capped = std::min(down, design.count(role));
+    if (capped > 0) canonical.emplace(role, capped);
+  }
+  return canonical;
+}
+
 petri::Marking patch_window_marking(const NetworkSrn& net,
                                     const std::map<enterprise::ServerRole, unsigned>& wave) {
+  // The up place of a deployed role starts with the tier size in tokens.
   petri::Marking start = net.model.initial_marking();
-  for (const auto& [role, down] : wave) {
-    const auto up_it = net.up_places.find(role);
-    if (up_it == net.up_places.end()) continue;  // role not deployed
-    const petri::TokenCount capped = std::min<petri::TokenCount>(down, start[up_it->second]);
-    start[up_it->second] -= capped;
-    start[net.down_places.at(role)] += capped;
+  for (const auto& [role, down] : canonical_wave(net.design, wave)) {
+    start[net.up_places.at(role)] -= down;
+    start[net.down_places.at(role)] += down;
   }
   return start;
 }

@@ -39,15 +39,15 @@
 ///
 ///    A curve of any width and any grid density costs R matrix-vector
 ///    products.  Each d_k is a dot of the (sparse) initial with v_k in state
-///    order, so a column's result never depends on the other columns.
-///    Under Kernel::kScalar the curves instead step the distribution
-///    forward between ascending grid points (the reference trajectory).
+///    order, so a column's result never depends on the other columns;
+///  * distribution_at() steps pi(0) forward through one Poisson window with
+///    the fused SELL-8 step (linalg::SpmvKernel::step), the route of the
+///    factored (lumped) analyzer.
 ///
 /// A TransientSolver is NOT thread-safe; hold one per thread
 /// (core::Session keeps one per worker thread, like StationarySolver).
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -57,26 +57,14 @@
 
 namespace patchsec::ctmc {
 
-/// Truncation policy and inner-loop choice of the uniformization expansion.
+/// Truncation policy of the uniformization expansion.
 struct TransientOptions {
   double epsilon = 1e-12;  ///< truncation error bound on Poisson mass, in (0, 1).
-  /// Hard cap on the expansion length.  Under Kernel::kAuto a curve runs one
-  /// series to the right truncation point of Lambda * t_last, so max_terms
-  /// bounds Lambda * t_last itself (a larger right point throws
-  /// std::runtime_error).  distribution_at() and the kScalar curves cap the
-  /// Poisson window of each step instead.
+  /// Hard cap on the expansion length.  A curve runs one series to the right
+  /// truncation point of Lambda * t_last, so max_terms bounds that point (a
+  /// larger one throws std::runtime_error); distribution_at() caps its
+  /// Poisson window instead.
   std::size_t max_terms = 2'000'000;
-
-  /// Which inner loop drives the expansion.
-  enum class Kernel : std::uint8_t {
-    kAuto,    ///< linalg::SpmvKernel — SELL-8 layout, CPUID-dispatched
-              ///< SIMD: fused forward steps for distribution_at(), the
-              ///< one-pass backward reward series for the curves.
-    kScalar,  ///< the historical in-loop scalar CSR pass stepping the
-              ///< distribution forward, kept bit-exact as the reference
-              ///< trajectory (and the portable worst case).
-  };
-  Kernel kernel = Kernel::kAuto;
 };
 
 /// How the last evaluation went: the uniformization constant, the Fox-Glynn
@@ -87,15 +75,14 @@ struct TransientDiagnostics {
   double uniformization_rate = 0.0;  ///< Lambda.
   std::size_t left_point = 0;        ///< Fox-Glynn left truncation of the last window.
   std::size_t right_point = 0;       ///< right truncation of the last window.
-  /// Matrix SWEEPS since prepare().  Under kAuto one curve call of any width
-  /// sweeps the right truncation point of Lambda * t_last times, once for
-  /// all rhs_count initials; kScalar sweeps once per column and step term.
+  /// Matrix SWEEPS since prepare().  One curve call of any width sweeps the
+  /// right truncation point of Lambda * t_last times, once for all
+  /// rhs_count initials.
   std::size_t matvec_count = 0;
   /// Widest panel of initials evaluated since prepare() (1 = single-vector
   /// evaluations only; 0 = nothing evaluated yet).
   std::size_t rhs_count = 0;
-  /// Inner-loop id of the last evaluation: "csr-scalar" for the historical
-  /// reference pass, or the dispatched linalg::SpmvKernel name
+  /// The dispatched linalg::SpmvKernel name of the last evaluation
   /// ("sell8-avx512" / "sell8-avx2" / "sell8-scalar").
   std::string kernel;
   double poisson_mass = 0.0;         ///< captured (pre-normalization) mass, last window.
@@ -104,9 +91,6 @@ struct TransientDiagnostics {
 
 class TransientSolver {
  public:
-  TransientSolver() = default;
-  explicit TransientSolver(TransientOptions options) : options_(options) {}
-
   /// Build (or, for a structurally identical chain, refresh in place) the
   /// uniformized matrix P = I + Q/Lambda.  Must be called before any
   /// evaluation; call again whenever the chain changes.  Throws
@@ -122,21 +106,11 @@ class TransientSolver {
   /// has not run.
   void distribution_at(const std::vector<double>& initial, double t, std::vector<double>& out);
 
-  /// Expected instantaneous reward  r . pi(t).
-  [[nodiscard]] double reward_at(const std::vector<double>& initial,
-                                 const std::vector<double>& rewards, double t);
-
-  /// Expected accumulated reward  int_0^t r . pi(s) ds, evaluated exactly
-  /// through the uniformization series (no quadrature grid): reward_curve()
-  /// over the one-point grid {t}.
-  [[nodiscard]] double accumulated_reward(const std::vector<double>& initial,
-                                          const std::vector<double>& rewards, double t);
-
   /// The reward curve r . pi(t_j) over an ascending (finite, non-negative,
   /// non-decreasing) time grid; `values` is resized to the grid.  Returns
   /// the accumulated reward int_0^{t_back} r . pi(s) ds — both measures ride
-  /// the same vector iterations.  Under kAuto this is reward_curve_multi()
-  /// of the one initial, bit for bit.
+  /// the same vector iterations.  This is reward_curve_multi() of the one
+  /// initial, bit for bit.
   double reward_curve(const std::vector<double>& initial, const std::vector<double>& rewards,
                       const std::vector<double>& time_points, std::vector<double>& values);
 
@@ -146,15 +120,15 @@ class TransientSolver {
   /// sweeps; rhs_count records B).  `curves[b][j]` receives r . pi_b(t_j);
   /// the return value is the per-b accumulated reward.  Column b is bit-
   /// identical to reward_curve(initials[b]) and to the same column of any
-  /// other panel.  Under TransientOptions::Kernel::kScalar the call degrades
-  /// to B sequential forward solves (the reference mode).  Throws
-  /// std::domain_error on an initial with no nonzero entry.
+  /// other panel.  Throws std::domain_error on an initial with no nonzero
+  /// entry.
   std::vector<double> reward_curve_multi(const std::vector<std::vector<double>>& initials,
                                          const std::vector<double>& rewards,
                                          const std::vector<double>& time_points,
                                          std::vector<std::vector<double>>& curves);
 
-  [[nodiscard]] const TransientOptions& options() const noexcept { return options_; }
+  /// The truncation policy of every later evaluation (default-constructed
+  /// until set).
   void set_options(const TransientOptions& options) { options_ = options; }
   [[nodiscard]] const TransientDiagnostics& diagnostics() const noexcept { return diagnostics_; }
 
@@ -166,8 +140,8 @@ class TransientSolver {
 
   /// The SIMD kernel layer's own build/reuse counters, summed over the two
   /// layouts: P for distribution_at() and P^T for the curves (0 builds until
-  /// the first Kernel::kAuto evaluation — each layout compiles lazily, on
-  /// first use after a prepare()).
+  /// the first evaluation — each layout compiles lazily, on first use after a
+  /// prepare()).
   [[nodiscard]] std::size_t kernel_structure_builds() const noexcept {
     return forward_.structure_builds() + backward_.structure_builds();
   }
@@ -183,14 +157,7 @@ class TransientSolver {
   /// capturing mass >= 1 - epsilon, expanding outward from the mode.
   void poisson_window(double m);
 
-  /// Advance `state` (a distribution) to time-offset dt ahead, accumulating
-  /// r . pi into *accumulated when non-null (kScalar only: the kAuto curves
-  /// take the backward series).  `state` is replaced by the (renormalized)
-  /// advanced distribution.
-  void step(std::vector<double>& state, const std::vector<double>* rewards, double dt,
-            double* accumulated);
-
-  /// Throws unless prepare() ran and options().epsilon lies in (0, 1).
+  /// Throws unless prepare() ran and the epsilon lies in (0, 1).
   void check_ready() const;
 
   /// Throws unless check_ready() passes and the reward vector and grid are
@@ -225,11 +192,11 @@ class TransientSolver {
   std::vector<double> term_;
   std::vector<double> next_;
   std::vector<double> accum_;
-  std::vector<double> state_;
 
   // SIMD kernel workspaces over P (x^T P, the forward step) and over P^T
-  // (P v, the backward series), each compiled lazily on its first kAuto use
-  // after a prepare(), so kScalar evaluations never pay a layout build.
+  // (P v, the backward series), each compiled lazily on its first use after
+  // a prepare(), so a solver that only draws curves never builds the forward
+  // layout.
   linalg::SpmvKernel forward_;
   linalg::SpmvKernel backward_;
   bool forward_fresh_ = false;

@@ -79,7 +79,7 @@ void TransientSolver::prepare(const Ctmc& chain) {
 
   diagnostics_ = TransientDiagnostics{};
   diagnostics_.uniformization_rate = lambda_;
-  // The SIMD layouts compile lazily on their first kAuto use; their own
+  // The SIMD layouts compile lazily on their first use; their own
   // structure-reuse fast path refreshes values without a layout rebuild.
   forward_fresh_ = false;
   backward_fresh_ = false;
@@ -184,74 +184,6 @@ void TransientSolver::poisson_window(double m) {
   diagnostics_.poisson_mass = mass_;
 }
 
-void TransientSolver::step(std::vector<double>& state, const std::vector<double>* rewards,
-                           double dt, double* accumulated) {
-  if (dt <= 0.0) return;
-  if (lambda_ <= 0.0) {
-    // No transitions anywhere: the distribution is frozen.
-    if (accumulated != nullptr) *accumulated += linalg::dot(state, *rewards) * dt;
-    return;
-  }
-  poisson_window(lambda_ * dt);
-
-  term_ = state;
-  accum_.assign(states_, 0.0);
-  diagnostics_.rhs_count = std::max<std::size_t>(diagnostics_.rhs_count, 1);
-  if (options_.kernel == TransientOptions::Kernel::kAuto) {
-    // SIMD path: one fused kernel call per expansion term performs the
-    // weight accumulation AND the gather-form matvec (no zero-fill of next_,
-    // no per-row branch).
-    ensure_forward_kernel();
-    diagnostics_.kernel = forward_.kernel_name();
-    next_.resize(states_);
-    for (std::size_t k = 0;; ++k) {
-      const double weight = k >= left_ ? weights_[k - left_] : 0.0;
-      if (k >= right_) {
-        (void)forward_.reduce(term_.data(), weight, accum_.data(), nullptr);
-        break;
-      }
-      (void)forward_.step(term_.data(), next_.data(), weight, accum_.data(), nullptr);
-      term_.swap(next_);
-      ++diagnostics_.matvec_count;
-    }
-  } else {
-    diagnostics_.kernel = "csr-scalar";
-    double cumulative = 0.0;  // F(k): Poisson CDF over the (normalized) window
-    for (std::size_t k = 0;; ++k) {
-      if (k >= left_) {
-        const double weight = weights_[k - left_];
-        for (std::size_t i = 0; i < states_; ++i) accum_[i] += weight * term_[i];
-        cumulative += weight;
-      }
-      if (accumulated != nullptr) {
-        // int_0^dt Poisson(k; Lambda s) ds = (1 - F(k)) / Lambda.
-        const double survival = std::max(0.0, 1.0 - cumulative);
-        *accumulated += survival * linalg::dot(term_, *rewards) / lambda_;
-      }
-      if (k >= right_) break;
-      // term <- term * P (row-vector times CSR matrix).  The zero-skip stays
-      // here deliberately: delta initial distributions keep early iterates
-      // genuinely sparse, and this loop is the historical reference
-      // trajectory (TransientOptions::Kernel::kScalar) — bit-exact across
-      // releases.
-      next_.assign(states_, 0.0);
-      for (std::size_t row = 0; row < states_; ++row) {
-        const double v = term_[row];
-        if (v == 0.0) continue;
-        for (std::size_t idx = p_row_offsets_[row]; idx < p_row_offsets_[row + 1]; ++idx) {
-          next_[p_col_indices_[idx]] += v * p_values_[idx];
-        }
-      }
-      term_.swap(next_);
-      ++diagnostics_.matvec_count;
-    }
-  }
-  // Round-off / truncation guard: the mixture of stochastic vectors is a
-  // distribution up to the discarded epsilon tail.
-  linalg::normalize_probability(accum_);
-  state = accum_;
-}
-
 void TransientSolver::check_ready() const {
   if (!prepared()) throw std::logic_error("TransientSolver: prepare() has not run");
   if (!(options_.epsilon > 0.0 && options_.epsilon < 1.0)) {
@@ -289,15 +221,6 @@ std::vector<double> TransientSolver::reward_curve_multi(
   const std::size_t m = initials.size();
   std::vector<double> accumulated(m, 0.0);
   curves.assign(m, std::vector<double>(time_points.size(), 0.0));
-
-  if (options_.kernel == TransientOptions::Kernel::kScalar) {
-    // Reference mode: sequential forward curves (each one the bit-exact
-    // historical trajectory).
-    for (std::size_t b = 0; b < m; ++b) {
-      accumulated[b] = reward_curve(initials[b], rewards, time_points, curves[b]);
-    }
-    return accumulated;
-  }
 
   const auto start = Clock::now();
   diagnostics_.rhs_count = std::max(diagnostics_.rhs_count, m);
@@ -393,50 +316,43 @@ void TransientSolver::distribution_at(const std::vector<double>& initial, double
   }
   const auto start = Clock::now();
   out = initial;
-  step(out, nullptr, t, nullptr);
-  diagnostics_.wall_time_seconds += seconds_since(start);
-}
-
-double TransientSolver::reward_at(const std::vector<double>& initial,
-                                  const std::vector<double>& rewards, double t) {
-  if (rewards.size() != states_) {
-    throw std::invalid_argument("TransientSolver: reward size mismatch");
+  // t = 0, or no transitions anywhere: the distribution is frozen.
+  if (t > 0.0 && lambda_ > 0.0) {
+    poisson_window(lambda_ * t);
+    term_ = initial;
+    accum_.assign(states_, 0.0);
+    diagnostics_.rhs_count = std::max<std::size_t>(diagnostics_.rhs_count, 1);
+    // One fused kernel call per expansion term performs the weight
+    // accumulation AND the gather-form matvec (no zero-fill of next_, no
+    // per-row branch).
+    ensure_forward_kernel();
+    diagnostics_.kernel = forward_.kernel_name();
+    next_.resize(states_);
+    for (std::size_t k = 0;; ++k) {
+      const double weight = k >= left_ ? weights_[k - left_] : 0.0;
+      if (k >= right_) {
+        forward_.reduce(term_.data(), weight, accum_.data());
+        break;
+      }
+      forward_.step(term_.data(), next_.data(), weight, accum_.data());
+      term_.swap(next_);
+      ++diagnostics_.matvec_count;
+    }
+    // Round-off / truncation guard: the mixture of stochastic vectors is a
+    // distribution up to the discarded epsilon tail.
+    linalg::normalize_probability(accum_);
+    out = accum_;
   }
-  distribution_at(initial, t, state_);
-  return linalg::dot(state_, rewards);
-}
-
-double TransientSolver::accumulated_reward(const std::vector<double>& initial,
-                                           const std::vector<double>& rewards, double t) {
-  std::vector<double> values;
-  return reward_curve(initial, rewards, {t}, values);
+  diagnostics_.wall_time_seconds += seconds_since(start);
 }
 
 double TransientSolver::reward_curve(const std::vector<double>& initial,
                                      const std::vector<double>& rewards,
                                      const std::vector<double>& time_points,
                                      std::vector<double>& values) {
-  if (options_.kernel == TransientOptions::Kernel::kAuto) {
-    std::vector<std::vector<double>> curves;
-    const double accumulated = reward_curve_multi({initial}, rewards, time_points, curves)[0];
-    values = std::move(curves[0]);
-    return accumulated;
-  }
-  check_curve_arguments(rewards, time_points);
-  if (initial.size() != states_) {
-    throw std::invalid_argument("TransientSolver: initial size mismatch");
-  }
-  const auto start = Clock::now();
-  values.resize(time_points.size());
-  state_ = initial;
-  double accumulated = 0.0;
-  double previous = 0.0;
-  for (std::size_t j = 0; j < time_points.size(); ++j) {
-    step(state_, &rewards, time_points[j] - previous, &accumulated);
-    values[j] = linalg::dot(state_, rewards);
-    previous = time_points[j];
-  }
-  diagnostics_.wall_time_seconds += seconds_since(start);
+  std::vector<std::vector<double>> curves;
+  const double accumulated = reward_curve_multi({initial}, rewards, time_points, curves)[0];
+  values = std::move(curves[0]);
   return accumulated;
 }
 

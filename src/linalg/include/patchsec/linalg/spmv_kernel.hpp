@@ -25,12 +25,12 @@
 /// CsrMatrix::left_multiply).  Dispatch is decided once per process from
 /// CPUID, never per call.
 ///
-/// The matvec also exists in a FUSED form (step) that folds the two other
-/// dense passes of a forward uniformization step — the Poisson-weight
-/// accumulation accum += w * x and the reward reduction dot(x, r) — into the
-/// same call, saving two full passes over the iterate per expansion term.
-/// The SIMD reductions use one fma per element in the vector body and the
-/// scalar tail alike, so their results do not depend on buffer alignment.
+/// The matvec also exists in a FUSED form (step) that folds the other dense
+/// pass of a forward uniformization step — the Poisson-weight accumulation
+/// accum += w * x — into the same call, saving a full pass over the iterate
+/// per expansion term.  The SIMD accumulations use one fma per element in
+/// the vector body and the scalar tail alike, so their results do not
+/// depend on buffer alignment.
 ///
 /// An SpmvKernel is a workspace in the StationarySolver/TransientSolver
 /// mold: compile() with a structurally identical matrix refreshes values in
@@ -104,14 +104,11 @@ class SpmvKernel {
   ///   accum += weight * x            (skipped when accum is null OR weight
   ///                                   is exactly 0 — a below-window term
   ///                                   leaves accum bitwise untouched)
-  ///   return dot(x, r)               (0.0 when r is null)
-  /// The dot is reduced lane-wise then horizontally once per call, so it
-  /// differs from a sequential sum by round-off only.
-  double step(const double* x, double* y, double weight, double* accum, const double* r) const;
+  void step(const double* x, double* y, double weight, double* accum) const;
 
-  /// The non-matvec half of step() alone (the final expansion term needs the
-  /// accumulation and the reduction but no further power).
-  double reduce(const double* x, double weight, double* accum, const double* r) const;
+  /// The accumulation half of step() alone (the final expansion term needs
+  /// no further power).
+  void reduce(const double* x, double weight, double* accum) const;
 
   /// Drop the compiled layout (counters are kept).
   void reset();

@@ -52,21 +52,8 @@ void sell_multiply_scalar(const SellView& a, const double* x, double* y) {
   }
 }
 
-double fused_reduce_scalar(const double* x, std::size_t n, double weight, double* accum,
-                           const double* r) {
-  if (weight == 0.0) accum = nullptr;  // below-window term: accum += 0*x is a no-op
-  double dot = 0.0;
-  if (accum != nullptr && r != nullptr) {
-    for (std::size_t s = 0; s < n; ++s) {
-      accum[s] += weight * x[s];
-      dot += x[s] * r[s];
-    }
-  } else if (accum != nullptr) {
-    for (std::size_t s = 0; s < n; ++s) accum[s] += weight * x[s];
-  } else if (r != nullptr) {
-    for (std::size_t s = 0; s < n; ++s) dot += x[s] * r[s];
-  }
-  return dot;
+void fused_reduce_scalar(const double* x, std::size_t n, double weight, double* accum) {
+  for (std::size_t s = 0; s < n; ++s) accum[s] += weight * x[s];
 }
 
 #if PATCHSEC_X86_SIMD
@@ -77,11 +64,8 @@ double fused_reduce_scalar(const double* x, std::size_t n, double weight, double
 // an address-dependent peel, contracting some elements to an fma and not
 // others, so the last ulp would follow heap alignment.
 inline void fused_reduce_tail(const double* x, std::size_t s, std::size_t n, double weight,
-                              double* accum, const double* r, double& dot) {
-  for (; s < n; ++s) {
-    if (accum != nullptr) accum[s] = std::fma(weight, x[s], accum[s]);
-    if (r != nullptr) dot = std::fma(x[s], r[s], dot);
-  }
+                              double* accum) {
+  for (; s < n; ++s) accum[s] = std::fma(weight, x[s], accum[s]);
 }
 
 // ---------------------------------------------------------------------------
@@ -127,25 +111,15 @@ __attribute__((target("avx2,fma"))) void sell_multiply_avx2(const SellView& a, c
   }
 }
 
-__attribute__((target("avx2,fma"))) double fused_reduce_avx2(const double* x, std::size_t n,
-                                                             double weight, double* accum,
-                                                             const double* r) {
-  if (weight == 0.0) accum = nullptr;  // below-window term: accum += 0*x is a no-op
+__attribute__((target("avx2,fma"))) void fused_reduce_avx2(const double* x, std::size_t n,
+                                                           double weight, double* accum) {
   const __m256d wv = _mm256_set1_pd(weight);
-  __m256d dacc = _mm256_setzero_pd();
   std::size_t s = 0;
   for (; s + 4 <= n; s += 4) {
-    const __m256d xv = _mm256_loadu_pd(x + s);
-    if (accum != nullptr) {
-      _mm256_storeu_pd(accum + s, _mm256_fmadd_pd(wv, xv, _mm256_loadu_pd(accum + s)));
-    }
-    if (r != nullptr) dacc = _mm256_fmadd_pd(xv, _mm256_loadu_pd(r + s), dacc);
+    _mm256_storeu_pd(accum + s,
+                     _mm256_fmadd_pd(wv, _mm256_loadu_pd(x + s), _mm256_loadu_pd(accum + s)));
   }
-  double lanes[4];
-  _mm256_storeu_pd(lanes, dacc);
-  double dot = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-  fused_reduce_tail(x, s, n, weight, accum, r, dot);
-  return dot;
+  fused_reduce_tail(x, s, n, weight, accum);
 }
 
 // ---------------------------------------------------------------------------
@@ -177,28 +151,15 @@ __attribute__((target("avx512f"))) void sell_multiply_avx512(const SellView& a, 
   }
 }
 
-__attribute__((target("avx512f"))) double fused_reduce_avx512(const double* x, std::size_t n,
-                                                              double weight, double* accum,
-                                                              const double* r) {
-  if (weight == 0.0) accum = nullptr;  // below-window term: accum += 0*x is a no-op
+__attribute__((target("avx512f"))) void fused_reduce_avx512(const double* x, std::size_t n,
+                                                            double weight, double* accum) {
   const __m512d wv = _mm512_set1_pd(weight);
-  __m512d dacc = _mm512_setzero_pd();
   std::size_t s = 0;
   for (; s + 8 <= n; s += 8) {
-    const __m512d xv = _mm512_loadu_pd(x + s);
-    if (accum != nullptr) {
-      _mm512_storeu_pd(accum + s, _mm512_fmadd_pd(wv, xv, _mm512_loadu_pd(accum + s)));
-    }
-    if (r != nullptr) dacc = _mm512_fmadd_pd(xv, _mm512_loadu_pd(r + s), dacc);
+    _mm512_storeu_pd(accum + s,
+                     _mm512_fmadd_pd(wv, _mm512_loadu_pd(x + s), _mm512_loadu_pd(accum + s)));
   }
-  // Not _mm512_reduce_add_pd: its GCC 12 expansion reads an undefined
-  // passthrough operand and trips -Wuninitialized under -Werror.
-  double lanes[8];
-  _mm512_storeu_pd(lanes, dacc);
-  double dot = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) +
-               ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
-  fused_reduce_tail(x, s, n, weight, accum, r, dot);
-  return dot;
+  fused_reduce_tail(x, s, n, weight, accum);
 }
 
 #endif  // PATCHSEC_X86_SIMD
@@ -386,25 +347,27 @@ void SpmvKernel::left_multiply(const std::vector<double>& x, std::vector<double>
   run(x.data(), y.data());
 }
 
-double SpmvKernel::step(const double* x, double* y, double weight, double* accum,
-                        const double* r) const {
-  const double dot = reduce(x, weight, accum, r);
+void SpmvKernel::step(const double* x, double* y, double weight, double* accum) const {
+  reduce(x, weight, accum);
   run(x, y);
-  return dot;
 }
 
-double SpmvKernel::reduce(const double* x, double weight, double* accum, const double* r) const {
+void SpmvKernel::reduce(const double* x, double weight, double* accum) const {
+  // A below-window term (weight 0) or no accumulator: accum stays untouched.
+  if (weight == 0.0 || accum == nullptr) return;
 #if PATCHSEC_X86_SIMD
   switch (isa_) {
     case SpmvIsa::kAvx512:
-      return fused_reduce_avx512(x, rows_, weight, accum, r);
+      fused_reduce_avx512(x, rows_, weight, accum);
+      return;
     case SpmvIsa::kAvx2:
-      return fused_reduce_avx2(x, rows_, weight, accum, r);
+      fused_reduce_avx2(x, rows_, weight, accum);
+      return;
     case SpmvIsa::kScalar:
       break;
   }
 #endif
-  return fused_reduce_scalar(x, rows_, weight, accum, r);
+  fused_reduce_scalar(x, rows_, weight, accum);
 }
 
 }  // namespace patchsec::linalg

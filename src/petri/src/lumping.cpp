@@ -684,12 +684,11 @@ double FactoredAnalyzer::reward_curve(const SeparableReward& reward,
   ctmc::TransientOptions step_options = options;
   step_options.epsilon =
       std::max(1e-16, options.epsilon / static_cast<double>(std::max<std::size_t>(1, events.size())));
-  std::vector<ctmc::TransientSolver> solvers;
-  solvers.reserve(components);
+  std::vector<ctmc::TransientSolver> solvers(components);
   std::vector<std::vector<double>> current(components), advanced(components);
   for (std::size_t c = 0; c < components; ++c) {
-    solvers.emplace_back(step_options);
-    solvers.back().prepare(graphs_[c].chain);
+    solvers[c].set_options(step_options);
+    solvers[c].prepare(graphs_[c].chain);
     current[c] = graphs_[c].initial_distribution;
   }
 

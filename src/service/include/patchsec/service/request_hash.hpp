@@ -23,11 +23,9 @@
 ///    parallel == serial is asserted in test_session),
 ///    SimulationOptions::threads (replication estimates are counter-seeded
 ///    per replication and bit-identical across thread counts — asserted in
-///    test_sim and the sim_replications_threaded8 bench row), and
-///    ReachabilityOptions::reserve_markings (a capacity hint).  The kernel
-///    selector (kAuto vs kScalar) IS hashed: kAuto's one-pass reward series
-///    and kScalar's forward steps sum in different orders, so their curves
-///    differ at the round-off level and must not share cache entries.
+///    test_sim and the sim_replications_threaded8 bench row).  The transient
+///    solver has one route, so TransientOptions contributes only its
+///    truncation policy (epsilon, max_terms).
 ///
 /// The policy hooks of a ReachabilityPolicy are opaque std::functions, so
 /// they cannot be serialized — but their whole domain is the 4x4 role grid,
@@ -87,8 +85,10 @@ struct EvalRequest {
   double patch_interval_hours = 0.0;
   RequestKind kind = RequestKind::kSteady;
   /// kTransient only: the patch-wave entry state (per role, servers starting
-  /// the window down; an empty map means "all up").  Ignored (and excluded
-  /// from the hash) for kSteady.
+  /// the window down; an empty map means "all up").  The service replaces it
+  /// with avail::canonical_wave() before keying, so waves that start from the
+  /// same marking share a cache entry.  Ignored (and excluded from the hash)
+  /// for kSteady.
   std::map<enterprise::ServerRole, unsigned> wave;
 };
 

@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "patchsec/avail/transient_coa.hpp"
+
 namespace patchsec::service {
 
 namespace {
@@ -84,7 +86,13 @@ std::future<ServiceReply> EvalService::submit(EvalRequest request) {
   double cadence = request.patch_interval_hours;
   if (cadence == 0.0) cadence = session_.scenario().patch_interval_hours();
   request.patch_interval_hours = core::Session::canonical_interval(cadence);
-  if (request.kind == RequestKind::kSteady) request.wave.clear();
+  // Waves that start from the same marking share one key (a steady request
+  // has no wave at all).
+  if (request.kind == RequestKind::kSteady) {
+    request.wave.clear();
+  } else {
+    request.wave = avail::canonical_wave(request.design, request.wave);
+  }
   const std::uint64_t key = request_key(scenario_hash_, request);
 
   core::EvalReport cached;

@@ -102,7 +102,7 @@ void append_engine_options(HashStream& h, const core::EngineOptions& engine) {
   // Steady-state solver.
   h.f64(engine.steady_state.tolerance);
   h.u64(engine.steady_state.max_iterations);
-  // Reachability limits (reserve_markings is a capacity hint — excluded).
+  // Reachability limits.
   h.u64(engine.reachability.max_tangible_markings);
   h.u64(engine.reachability.max_vanishing_depth);
   h.u8(engine.throw_on_divergence ? 1 : 0);
@@ -123,11 +123,9 @@ void append_engine_options(HashStream& h, const core::EngineOptions& engine) {
   h.u64(engine.time_points.size());
   for (double t : engine.time_points) h.f64(t);
   h.u64(engine.transient_points);
-  // Uniformization truncation + kernel selector (kAuto's one-pass series
-  // differs from kScalar at the round-off level).
+  // Uniformization truncation.
   h.f64(engine.uniformization.epsilon);
   h.u64(engine.uniformization.max_terms);
-  h.u8(static_cast<std::uint8_t>(engine.uniformization.kernel));
   // HARM path-enumeration cap (truncation changes the security metrics —
   // a capped report must never share a cache entry with an exact one).
   h.u64(engine.harm_paths.max_paths);

@@ -151,12 +151,15 @@ TEST(Transient, StiffChainStaysStochastic) {
 }
 
 TEST(Transient, InstantaneousRewardMatchesDistribution) {
+  // The reward curve (backward series) at one point against the forward
+  // distribution's reward.
   const ct::Ctmc c = up_down(0.5, 1.5);
   ct::TransientSolver solver;
   solver.prepare(c);
-  const double r = solver.reward_at({1.0, 0.0}, {1.0, 0.0}, 0.8);
+  std::vector<double> values;
+  (void)solver.reward_curve({1.0, 0.0}, {1.0, 0.0}, {0.8}, values);
   const auto pi = distribution_at(c, {1.0, 0.0}, 0.8);
-  EXPECT_NEAR(r, pi[0], 1e-12);
+  EXPECT_NEAR(values[0], pi[0], 1e-12);
 }
 
 TEST(Transient, AccumulatedRewardIntervalAvailability) {
@@ -169,7 +172,8 @@ TEST(Transient, AccumulatedRewardIntervalAvailability) {
   const double t = 2.0;
   ct::TransientSolver solver;
   solver.prepare(c);
-  const double up_time = solver.accumulated_reward({1.0, 0.0}, {1.0, 0.0}, t);
+  std::vector<double> values;
+  const double up_time = solver.reward_curve({1.0, 0.0}, {1.0, 0.0}, {t}, values);
   const double expected = (1.0 - std::exp(-l * t)) / l;
   EXPECT_NEAR(up_time, expected, 1e-4);
 }

@@ -42,7 +42,8 @@ TEST(TransientEdge, UndersizedExpansionFailsLoudly) {
   c.add_transition(1, 0, 1000.0);
   ct::TransientOptions opt;
   opt.max_terms = 8;
-  ct::TransientSolver solver(opt);
+  ct::TransientSolver solver;
+  solver.set_options(opt);
   solver.prepare(c);
   std::vector<double> pi;
   EXPECT_THROW(solver.distribution_at({1.0, 0.0}, 10.0, pi), std::runtime_error);

@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstring>
 #include <future>
+#include <map>
 #include <thread>
 #include <vector>
 
@@ -85,10 +86,8 @@ TEST(RequestHash, ResultAffectingKnobsChangeTheHash) {
   engine.backend = core::EvalBackend::kSimulation;
   EXPECT_NE(svc::hash_scenario(core::Scenario(base).with_engine(engine)), reference);
 
-  // The kernel selector IS result-affecting (panel reduction order differs
-  // from scalar at the ulp level) and must split cache entries.
   engine = base.engine();
-  engine.uniformization.kernel = patchsec::ctmc::TransientOptions::Kernel::kScalar;
+  engine.uniformization.epsilon = 1e-10;
   EXPECT_NE(svc::hash_scenario(core::Scenario(base).with_engine(engine)), reference);
 
   // A schedule change and a spec change both reach the hash.
@@ -111,7 +110,6 @@ TEST(RequestHash, SchedulingOnlyKnobsDoNotChangeTheHash) {
   engine.parallel = true;
   engine.threads = 8;
   engine.simulation.threads = 4;
-  engine.reachability.reserve_markings = 10000;
   EXPECT_EQ(svc::hash_scenario(core::Scenario(base).with_engine(engine)), reference);
 }
 
@@ -319,6 +317,42 @@ TEST(EvalService, GroupsSameStructureTransientJobsIntoOnePanel) {
   for (std::size_t i = 0; i < kWaves; ++i) {
     EXPECT_TRUE(payload_bit_identical(replies[i].report, oracle[i]));
   }
+}
+
+TEST(EvalService, EquivalentTransientWavesShareOneCacheEntry) {
+  // On [1,2,2,1], {WEB: 2}, {WEB: 7} (clamped to the two WEB servers) and
+  // {WEB: 2, DNS: 0} start from the same patch-window marking: one key, one
+  // solve, one cache entry.
+  svc::EvalService service(core::Scenario::paper_case_study(), {});
+  const ent::RedundancyDesign design{{1, 2, 2, 1}};
+  const std::vector<std::map<ent::ServerRole, unsigned>> waves = {
+      {{ent::ServerRole::kWeb, 2}},
+      {{ent::ServerRole::kWeb, 7}},
+      {{ent::ServerRole::kWeb, 2}, {ent::ServerRole::kDns, 0}},
+  };
+  std::vector<svc::ServiceReply> replies;
+  for (const auto& wave : waves) {
+    svc::EvalRequest request = steady_request(design);
+    request.kind = svc::RequestKind::kTransient;
+    request.wave = wave;
+    replies.push_back(service.evaluate(std::move(request)));
+  }
+  EXPECT_EQ(replies[0].source, svc::ReplySource::kSolve);
+  for (std::size_t i = 1; i < replies.size(); ++i) {
+    EXPECT_EQ(replies[i].source, svc::ReplySource::kCache) << "wave " << i;
+    EXPECT_EQ(replies[i].key, replies[0].key) << "wave " << i;
+    EXPECT_TRUE(payload_bit_identical(replies[i].report, replies[0].report)) << "wave " << i;
+  }
+  const svc::ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.solves, 1u);
+  EXPECT_EQ(stats.cache.misses, 1u);
+  EXPECT_EQ(stats.cache.entries, 1u);
+
+  // A wave that starts elsewhere still gets its own key.
+  svc::EvalRequest other = steady_request(design);
+  other.kind = svc::RequestKind::kTransient;
+  other.wave = {{ent::ServerRole::kWeb, 1}};
+  EXPECT_NE(service.evaluate(std::move(other)).key, replies[0].key);
 }
 
 TEST(EvalService, ConcurrentMixedLoadIsDeterministic) {

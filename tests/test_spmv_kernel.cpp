@@ -3,14 +3,14 @@
 // left_multiply is the reference, per docs/ARCHITECTURE.md §12) on paper
 // nets and seeded random matrices, fused-step semantics and their
 // independence of buffer alignment, the structure-reuse contract, and the
-// one-pass curve route against the kScalar forward reference — including
-// the bit-identity of a curve column across panel widths.
+// one-pass curve route against the forward-stepped reference of
+// transient_reference.hpp — including the bit-identity of a curve column
+// across panel widths.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <map>
 #include <random>
 #include <string>
@@ -24,6 +24,7 @@
 #include "patchsec/enterprise/network.hpp"
 #include "patchsec/linalg/spmv_kernel.hpp"
 #include "patchsec/petri/reachability.hpp"
+#include "transient_reference.hpp"
 
 namespace av = patchsec::avail;
 namespace core = patchsec::core;
@@ -192,30 +193,23 @@ TEST(SpmvKernel, FusedStepMatchesUnfusedPieces) {
   la::SpmvKernel kernel;
   kernel.compile(a);
   const std::vector<double> x = random_vector(60, 6);
-  const std::vector<double> r = random_vector(60, 7);
   std::vector<double> accum = random_vector(60, 8);
   std::vector<double> accum_ref = accum;
   const double weight = 0.37;
 
   std::vector<double> y(60);
-  const double dot = kernel.step(x.data(), y.data(), weight, accum.data(), r.data());
+  kernel.step(x.data(), y.data(), weight, accum.data());
 
   std::vector<double> y_ref;
   a.left_multiply(x, y_ref);
-  double dot_ref = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    accum_ref[i] += weight * x[i];
-    dot_ref += x[i] * r[i];
-  }
+  for (std::size_t i = 0; i < x.size(); ++i) accum_ref[i] += weight * x[i];
   expect_near_rel(y, y_ref, kEps, "fused matvec");
   expect_near_rel(accum, accum_ref, kEps, "fused accumulate");
-  EXPECT_NEAR(dot, dot_ref, kEps * std::max(1.0, std::abs(dot_ref)));
 
   // reduce() = the same step without the matvec; weight 0 must leave accum
   // bitwise untouched (the below-window terms of the expansion).
   std::vector<double> accum2 = accum;
-  const double dot2 = kernel.reduce(x.data(), 0.0, accum2.data(), r.data());
-  EXPECT_DOUBLE_EQ(dot2, dot);
+  kernel.reduce(x.data(), 0.0, accum2.data());
   for (std::size_t i = 0; i < accum.size(); ++i) EXPECT_EQ(accum2[i], accum[i]) << i;
 }
 
@@ -225,8 +219,8 @@ TEST(SpmvKernel, FusedStepNullArguments) {
   kernel.compile(a);
   const std::vector<double> x = random_vector(30, 10);
   std::vector<double> y(30);
-  // No accumulator, no rewards: plain matvec, dot contract returns 0.
-  EXPECT_DOUBLE_EQ(kernel.step(x.data(), y.data(), 0.5, nullptr, nullptr), 0.0);
+  // No accumulator: a plain matvec.
+  kernel.step(x.data(), y.data(), 0.5, nullptr);
   std::vector<double> want;
   a.left_multiply(x, want);
   expect_near_rel(y, want, kEps, "step without fusion arguments");
@@ -235,30 +229,24 @@ TEST(SpmvKernel, FusedStepNullArguments) {
 TEST(SpmvKernel, FusedReduceDoesNotDependOnAlignment) {
   // n = 8q + 7 leaves a 7-element tail behind the AVX-512 body (3 behind
   // the AVX2 one).  The same inputs at two alignments, one shifted by a
-  // double, must give bitwise-equal accumulators and dots.
+  // double, must give bitwise-equal accumulators.
   constexpr std::size_t n = 8 * 5 + 7;
   la::SpmvKernel kernel;
   kernel.compile(random_csr(n, 0.1, 71));
   const std::vector<double> x0 = random_vector(n, 72);
-  const std::vector<double> r0 = random_vector(n, 73);
   const std::vector<double> accum0 = random_vector(n, 74);
   const double weight = 0.37;
 
   std::vector<double> accums[2];
-  double dots[2] = {0.0, 0.0};
   for (std::size_t shift = 0; shift < 2; ++shift) {
     std::vector<double> x(n + 1);
-    std::vector<double> r(n + 1);
     std::vector<double> accum(n + 1);
     std::copy(x0.begin(), x0.end(), x.begin() + static_cast<std::ptrdiff_t>(shift));
-    std::copy(r0.begin(), r0.end(), r.begin() + static_cast<std::ptrdiff_t>(shift));
     std::copy(accum0.begin(), accum0.end(), accum.begin() + static_cast<std::ptrdiff_t>(shift));
-    dots[shift] =
-        kernel.reduce(x.data() + shift, weight, accum.data() + shift, r.data() + shift);
+    kernel.reduce(x.data() + shift, weight, accum.data() + shift);
     accums[shift].assign(accum.begin() + static_cast<std::ptrdiff_t>(shift),
                          accum.begin() + static_cast<std::ptrdiff_t>(shift + n));
   }
-  EXPECT_EQ(std::memcmp(&dots[0], &dots[1], sizeof(double)), 0);
   EXPECT_EQ(accums[0], accums[1]);
 
   // The SIMD paths apply one fma per element, in the vector body and the
@@ -315,7 +303,8 @@ TEST(SpmvKernel, ErrorsOnMisuse) {
 }
 
 // ---------------------------------------------------------------------------
-// TransientSolver integration: kAuto vs the kScalar reference trajectory
+// TransientSolver integration: the one-pass route vs the forward-stepped
+// reference (transient_reference.hpp)
 // ---------------------------------------------------------------------------
 
 TEST(SpmvKernelTransient, AutoKernelMatchesScalarReference) {
@@ -327,16 +316,12 @@ TEST(SpmvKernelTransient, AutoKernelMatchesScalarReference) {
     for (std::size_t s = 0; s < n; ++s) rewards[s] = static_cast<double>(s) / double(n);
     const std::vector<double> grid{0.1, 0.5, 1.0, 2.0, 5.0};
 
-    ct::TransientOptions scalar_options;
-    scalar_options.kernel = ct::TransientOptions::Kernel::kScalar;
-    ct::TransientSolver scalar_solver(scalar_options);
+    patchsec::test::ReferenceTransient scalar_solver;
     scalar_solver.prepare(chain);
     std::vector<double> scalar_curve;
     const double scalar_acc = scalar_solver.reward_curve(initial, rewards, grid, scalar_curve);
-    EXPECT_EQ(scalar_solver.diagnostics().kernel, "csr-scalar");
-    EXPECT_EQ(scalar_solver.diagnostics().rhs_count, 1u);
 
-    ct::TransientSolver auto_solver;  // kAuto is the default
+    ct::TransientSolver auto_solver;
     auto_solver.prepare(chain);
     std::vector<double> auto_curve;
     const double auto_acc = auto_solver.reward_curve(initial, rewards, grid, auto_curve);
@@ -344,13 +329,12 @@ TEST(SpmvKernelTransient, AutoKernelMatchesScalarReference) {
               la::spmv_isa_name(la::spmv_dispatched_isa()));
     EXPECT_EQ(auto_solver.diagnostics().rhs_count, 1u);
     // One backward series to the right truncation point of Lambda * t_last
-    // serves the whole grid; the kScalar reference restarts a Poisson window
+    // serves the whole grid; the forward reference restarts a Poisson window
     // per grid segment, so it sweeps more.
     EXPECT_EQ(auto_solver.diagnostics().matvec_count, auto_solver.diagnostics().right_point);
-    EXPECT_LT(auto_solver.diagnostics().matvec_count,
-              scalar_solver.diagnostics().matvec_count);
+    EXPECT_LT(auto_solver.diagnostics().matvec_count, scalar_solver.matvec_count());
 
-    expect_near_rel(auto_curve, scalar_curve, 1e-11, "kAuto vs kScalar curve");
+    expect_near_rel(auto_curve, scalar_curve, 1e-11, "one-pass vs reference curve");
     EXPECT_NEAR(auto_acc, scalar_acc, 1e-11 * std::max(1.0, std::abs(scalar_acc)));
 
     // Distributions agree too (the normalize step sees round-off-level
@@ -359,7 +343,7 @@ TEST(SpmvKernelTransient, AutoKernelMatchesScalarReference) {
     std::vector<double> pi_auto;
     scalar_solver.distribution_at(initial, 1.7, pi_scalar);
     auto_solver.distribution_at(initial, 1.7, pi_auto);
-    expect_near_rel(pi_auto, pi_scalar, 1e-11, "kAuto vs kScalar distribution");
+    expect_near_rel(pi_auto, pi_scalar, 1e-11, "fused step vs reference distribution");
   }
 }
 
@@ -411,17 +395,14 @@ TEST(SpmvKernelTransient, PanelMatchesScalarReferenceMode) {
   std::vector<std::vector<double>> auto_curves;
   const auto auto_accs = auto_solver.reward_curve_multi(initials, rewards, grid, auto_curves);
 
-  ct::TransientOptions scalar_options;
-  scalar_options.kernel = ct::TransientOptions::Kernel::kScalar;
-  ct::TransientSolver scalar_solver(scalar_options);
+  patchsec::test::ReferenceTransient scalar_solver;
   scalar_solver.prepare(chain);
   std::vector<std::vector<double>> scalar_curves;
   const auto scalar_accs =
       scalar_solver.reward_curve_multi(initials, rewards, grid, scalar_curves);
-  EXPECT_EQ(scalar_solver.diagnostics().rhs_count, 1u);  // degraded to sequential
 
   for (std::size_t b = 0; b < 3; ++b) {
-    expect_near_rel(auto_curves[b], scalar_curves[b], 1e-11, "panel vs scalar mode");
+    expect_near_rel(auto_curves[b], scalar_curves[b], 1e-11, "panel vs reference curves");
     EXPECT_NEAR(auto_accs[b], scalar_accs[b],
                 1e-11 * std::max(1.0, std::abs(scalar_accs[b])));
   }
@@ -477,7 +458,7 @@ TEST(SpmvKernelTransient, SolverReusesKernelAcrossValueRefresh) {
 }
 
 TEST(SpmvKernelTransient, OnePassMatchesScalarReferenceOnPaperDesigns) {
-  // The one-pass backward series against the forward kScalar trajectory on
+  // The one-pass backward series against the forward-stepped reference on
   // the five paper designs plus [6,6,6,6], at two cadences and three patch
   // waves: every curve point and the interval COA (accumulated / t_last)
   // agree within 1e-12.
@@ -493,26 +474,42 @@ TEST(SpmvKernelTransient, OnePassMatchesScalarReferenceOnPaperDesigns) {
       {{ent::ServerRole::kApp, 1}},
       {{ent::ServerRole::kWeb, 2}, {ent::ServerRole::kDb, 1}},
   };
-  av::TransientCoaOptions scalar;
-  scalar.uniformization.kernel = ct::TransientOptions::Kernel::kScalar;
   for (double hours : {720.0, 1440.0}) {
     const auto& rates = session.aggregated_rates(hours);
     for (const ent::RedundancyDesign& design : designs) {
       SCOPED_TRACE(design.name() + " @ " + std::to_string(hours) + " h");
       const std::vector<av::CoaCurveEvaluation> fast =
           av::transient_coa_batch(design, rates, grid, waves);
-      const std::vector<av::CoaCurveEvaluation> reference =
-          av::transient_coa_batch(design, rates, grid, waves, scalar);
+
+      // The same model and patch-window initials, advanced by the reference.
+      const av::NetworkSrn net = av::build_network_srn(design, rates);
+      const auto graph = patchsec::petri::build_reachability_graph(net.model);
+      const patchsec::petri::RewardFunction reward = net.coa_reward();
+      std::vector<double> rewards;
+      for (const patchsec::petri::Marking& m : graph.tangible_markings) {
+        rewards.push_back(reward(m));
+      }
+      std::vector<std::vector<double>> initials;
+      for (const auto& wave : waves) {
+        initials.emplace_back(graph.tangible_count(), 0.0);
+        initials.back()[graph.index_of(av::patch_window_marking(net, wave))] = 1.0;
+      }
+      patchsec::test::ReferenceTransient reference;
+      reference.prepare(graph.chain);
+      std::vector<std::vector<double>> curves;
+      const std::vector<double> accumulated =
+          reference.reward_curve_multi(initials, rewards, grid, curves);
+
       for (std::size_t b = 0; b < waves.size(); ++b) {
         for (std::size_t j = 0; j < grid.size(); ++j) {
-          EXPECT_NEAR(fast[b].curve[j].coa, reference[b].curve[j].coa, 1e-12)
+          EXPECT_NEAR(fast[b].curve[j].coa, curves[b][j], 1e-12)
               << "wave " << b << " t=" << grid[j];
         }
         EXPECT_NEAR(fast[b].accumulated_coa_hours / grid.back(),
-                    reference[b].accumulated_coa_hours / grid.back(), 1e-12)
+                    accumulated[b] / grid.back(), 1e-12)
             << "wave " << b;
       }
-      EXPECT_LT(fast.front().transient.matvec_count, reference.front().transient.matvec_count);
+      EXPECT_LT(fast.front().transient.matvec_count, reference.matvec_count());
     }
   }
 }

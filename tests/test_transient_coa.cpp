@@ -72,6 +72,24 @@ TEST(TransientCoa, InitialDownClampedToTierSize) {
   EXPECT_DOUBLE_EQ(curve[0], 0.0);  // the single web server is down
 }
 
+TEST(TransientCoa, CanonicalWaveClampsAndDropsIdleRoles) {
+  // Per role: servers down clamped to the tier; undeployed roles and roles
+  // with nothing down are dropped.  Equal canonical forms mean equal
+  // patch-window markings.
+  const ent::RedundancyDesign design{{1, 2, 2, 0}};
+  const std::map<ent::ServerRole, unsigned> wave{{ent::ServerRole::kDns, 0},
+                                                 {ent::ServerRole::kWeb, 7},
+                                                 {ent::ServerRole::kApp, 1},
+                                                 {ent::ServerRole::kDb, 3}};
+  const std::map<ent::ServerRole, unsigned> canonical{{ent::ServerRole::kWeb, 2},
+                                                      {ent::ServerRole::kApp, 1}};
+  EXPECT_EQ(av::canonical_wave(design, wave), canonical);
+  EXPECT_EQ(av::canonical_wave(design, canonical), canonical);
+  const av::NetworkSrn net = av::build_network_srn(design, rates());
+  EXPECT_EQ(av::patch_window_marking(net, wave), av::patch_window_marking(net, canonical));
+  EXPECT_NE(av::patch_window_marking(net, wave), net.model.initial_marking());
+}
+
 TEST(TransientCoa, RedundantTierHealsFasterInitialLoss) {
   // One web down: the 2-web design still serves (5/6 capacity) while the
   // 1-web design is fully out at t=0.

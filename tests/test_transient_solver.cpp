@@ -3,7 +3,9 @@
 // kept verbatim as reference), Fox-Glynn window behaviour, the exact
 // accumulated-reward series, the one-pass curve route (sweep count, width-1
 // identity, degenerate grids and chains, the max_terms bound), and
-// workspace reuse.
+// workspace reuse.  The one-point measures r . pi(t) and int_0^t r . pi ds
+// come from the transient_reference.hpp helpers (distribution_at plus a
+// dot; the curve over {t}).
 
 #include <gtest/gtest.h>
 
@@ -15,9 +17,12 @@
 
 #include "patchsec/ctmc/transient_solver.hpp"
 #include "patchsec/linalg/vector_ops.hpp"
+#include "transient_reference.hpp"
 
 namespace ct = patchsec::ctmc;
 namespace la = patchsec::linalg;
+using patchsec::test::accumulated_reward;
+using patchsec::test::reward_at;
 
 namespace {
 
@@ -90,7 +95,7 @@ TEST(TransientSolver, RequiresPrepare) {
   EXPECT_FALSE(solver.prepared());
   std::vector<double> out;
   EXPECT_THROW(solver.distribution_at({1.0, 0.0}, 1.0, out), std::logic_error);
-  EXPECT_THROW((void)solver.accumulated_reward({1.0, 0.0}, {1.0, 0.0}, 1.0), std::logic_error);
+  EXPECT_THROW((void)accumulated_reward(solver, {1.0, 0.0}, {1.0, 0.0}, 1.0), std::logic_error);
   ct::Ctmc empty;
   EXPECT_THROW(solver.prepare(empty), std::invalid_argument);
 }
@@ -139,7 +144,7 @@ TEST(TransientSolver, AccumulatedRewardClosedForm) {
   solver.prepare(c);
   for (double t : {0.5, 2.0, 9.0}) {
     const double expected = (1.0 - std::exp(-l * t)) / l;
-    EXPECT_NEAR(solver.accumulated_reward({1.0, 0.0}, {1.0, 0.0}, t), expected, 1e-10)
+    EXPECT_NEAR(accumulated_reward(solver, {1.0, 0.0}, {1.0, 0.0}, t), expected, 1e-10)
         << "t=" << t;
   }
   // The absorbing distribution itself.
@@ -157,14 +162,14 @@ TEST(TransientSolver, AccumulatedMatchesFineQuadratureOfInstantaneous) {
   std::vector<double> rewards(7);
   for (std::size_t s = 0; s < 7; ++s) rewards[s] = static_cast<double>(s) / 7.0;
   const double t = 3.0;
-  const double exact = solver.accumulated_reward(initial, rewards, t);
+  const double exact = accumulated_reward(solver, initial, rewards, t);
   // Trapezoid over 4096 panels of the instantaneous reward.
   const std::size_t panels = 4096;
   double quad = 0.0;
-  double prev = solver.reward_at(initial, rewards, 0.0);
+  double prev = reward_at(solver, initial, rewards, 0.0);
   for (std::size_t k = 1; k <= panels; ++k) {
     const double cur =
-        solver.reward_at(initial, rewards, t * static_cast<double>(k) / panels);
+        reward_at(solver, initial, rewards, t * static_cast<double>(k) / panels);
     quad += 0.5 * (prev + cur) * (t / panels);
     prev = cur;
   }
@@ -186,9 +191,9 @@ TEST(TransientSolver, CurveMatchesIndependentPointEvaluations) {
   const double accumulated = solver.reward_curve(initial, rewards, grid, values);
   ASSERT_EQ(values.size(), grid.size());
   for (std::size_t j = 0; j < grid.size(); ++j) {
-    EXPECT_NEAR(values[j], solver.reward_at(initial, rewards, grid[j]), 1e-9) << "j=" << j;
+    EXPECT_NEAR(values[j], reward_at(solver, initial, rewards, grid[j]), 1e-9) << "j=" << j;
   }
-  EXPECT_NEAR(accumulated, solver.accumulated_reward(initial, rewards, grid.back()), 1e-9);
+  EXPECT_NEAR(accumulated, accumulated_reward(solver, initial, rewards, grid.back()), 1e-9);
 }
 
 TEST(TransientSolver, CurveValidation) {
@@ -214,31 +219,23 @@ TEST(TransientSolver, NonFiniteTimesAreRejected) {
   const double nan = std::nan("");
   const double inf = std::numeric_limits<double>::infinity();
   const ct::Ctmc c = up_down(1.0, 1.0);
-  for (const auto kernel :
-       {ct::TransientOptions::Kernel::kAuto, ct::TransientOptions::Kernel::kScalar}) {
-    ct::TransientOptions options;
-    options.kernel = kernel;
-    ct::TransientSolver solver(options);
-    solver.prepare(c);
-    std::vector<double> values;
-    std::vector<std::vector<double>> curves;
-    for (const std::vector<double>& grid :
-         {std::vector<double>{1.0, nan, 2.0}, std::vector<double>{1.0, inf},
-          std::vector<double>{nan}}) {
-      EXPECT_THROW((void)solver.reward_curve({1.0, 0.0}, {1.0, 0.0}, grid, values),
-                   std::invalid_argument);
-      EXPECT_THROW((void)solver.reward_curve_multi({{1.0, 0.0}}, {1.0, 0.0}, grid, curves),
-                   std::invalid_argument);
-    }
-    std::vector<double> pi;
-    for (const double t : {nan, inf}) {
-      EXPECT_THROW(solver.distribution_at({1.0, 0.0}, t, pi), std::invalid_argument);
-      EXPECT_THROW((void)solver.reward_at({1.0, 0.0}, {1.0, 0.0}, t), std::invalid_argument);
-      EXPECT_THROW((void)solver.accumulated_reward({1.0, 0.0}, {1.0, 0.0}, t),
-                   std::invalid_argument);
-    }
-    EXPECT_EQ(solver.diagnostics().matvec_count, 0u);
+  ct::TransientSolver solver;
+  solver.prepare(c);
+  std::vector<double> values;
+  std::vector<std::vector<double>> curves;
+  for (const std::vector<double>& grid :
+       {std::vector<double>{1.0, nan, 2.0}, std::vector<double>{1.0, inf},
+        std::vector<double>{nan}, std::vector<double>{inf}}) {
+    EXPECT_THROW((void)solver.reward_curve({1.0, 0.0}, {1.0, 0.0}, grid, values),
+                 std::invalid_argument);
+    EXPECT_THROW((void)solver.reward_curve_multi({{1.0, 0.0}}, {1.0, 0.0}, grid, curves),
+                 std::invalid_argument);
   }
+  std::vector<double> pi;
+  for (const double t : {nan, inf}) {
+    EXPECT_THROW(solver.distribution_at({1.0, 0.0}, t, pi), std::invalid_argument);
+  }
+  EXPECT_EQ(solver.diagnostics().matvec_count, 0u);
 }
 
 TEST(TransientSolver, EpsilonOutsideTheUnitIntervalIsRejected) {
@@ -249,15 +246,11 @@ TEST(TransientSolver, EpsilonOutsideTheUnitIntervalIsRejected) {
        {std::nan(""), std::numeric_limits<double>::infinity(), 0.0, -1.0, 1.0}) {
     ct::TransientOptions options;
     options.epsilon = epsilon;
-    ct::TransientSolver solver(options);
+    ct::TransientSolver solver;
+    solver.set_options(options);
     solver.prepare(c);
     std::vector<double> pi, values;
     EXPECT_THROW(solver.distribution_at({1.0, 0.0}, 1.0, pi), std::invalid_argument) << epsilon;
-    EXPECT_THROW((void)solver.reward_curve({1.0, 0.0}, {1.0, 0.0}, {1.0}, values),
-                 std::invalid_argument)
-        << epsilon;
-    options.kernel = ct::TransientOptions::Kernel::kScalar;
-    solver.set_options(options);
     EXPECT_THROW((void)solver.reward_curve({1.0, 0.0}, {1.0, 0.0}, {1.0}, values),
                  std::invalid_argument)
         << epsilon;
@@ -266,7 +259,7 @@ TEST(TransientSolver, EpsilonOutsideTheUnitIntervalIsRejected) {
 }
 
 TEST(TransientSolver, OnePassSweepCountIsTheHorizonRightPoint) {
-  // A kAuto curve runs one series to the right truncation point of
+  // A curve runs one series to the right truncation point of
   // Lambda * t_last, however many grid points share that horizon.
   const ct::Ctmc c = random_chain(12, 9);
   std::vector<double> initial(12, 0.0);
@@ -340,7 +333,7 @@ TEST(TransientSolver, OnePassFrozenChainAndZeroTimePoints) {
   const std::vector<double> rewards{1.0, 0.5};
   (void)solver.reward_curve(initial, rewards, {0.0, 1.0}, values);
   EXPECT_EQ(values[0], 0.25 * 1.0 + 0.75 * 0.5);
-  EXPECT_NEAR(values[1], solver.reward_at(initial, rewards, 1.0), 1e-12);
+  EXPECT_NEAR(values[1], reward_at(solver, initial, rewards, 1.0), 1e-12);
   ct::TransientSolver zero;
   zero.prepare(c);
   EXPECT_EQ(zero.reward_curve(initial, rewards, {0.0, 0.0}, values), 0.0);
@@ -355,23 +348,16 @@ TEST(TransientSolver, MaxTermsBoundsTheOnePassHorizon) {
   const ct::Ctmc c = up_down(50.0, 50.0);
   ct::TransientOptions options;
   options.max_terms = 600;
-  ct::TransientSolver solver(options);
+  ct::TransientSolver solver;
+  solver.set_options(options);
   solver.prepare(c);
   std::vector<double> pi;
   EXPECT_NO_THROW(solver.distribution_at({1.0, 0.0}, 20.0, pi));
   std::vector<double> values;
   EXPECT_THROW((void)solver.reward_curve({1.0, 0.0}, {1.0, 0.0}, {10.0, 20.0}, values),
                std::runtime_error);
-  EXPECT_THROW((void)solver.accumulated_reward({1.0, 0.0}, {1.0, 0.0}, 20.0),
+  EXPECT_THROW((void)accumulated_reward(solver, {1.0, 0.0}, {1.0, 0.0}, 20.0),
                std::runtime_error);
-
-  // The kScalar reference caps each step's window instead, so the same grid
-  // in short steps stays within the cap.
-  options.kernel = ct::TransientOptions::Kernel::kScalar;
-  solver.set_options(options);
-  std::vector<double> grid;
-  for (int j = 1; j <= 20; ++j) grid.push_back(static_cast<double>(j));
-  EXPECT_NO_THROW((void)solver.reward_curve({1.0, 0.0}, {1.0, 0.0}, grid, values));
 }
 
 TEST(TransientSolver, FoxGlynnWindowSkipsTheLeftTail) {
@@ -394,7 +380,8 @@ TEST(TransientSolver, MaxTermsOverflowThrows) {
   const ct::Ctmc c = up_down(1000.0, 1000.0);
   ct::TransientOptions options;
   options.max_terms = 8;
-  ct::TransientSolver solver(options);
+  ct::TransientSolver solver;
+  solver.set_options(options);
   solver.prepare(c);
   std::vector<double> pi;
   EXPECT_THROW(solver.distribution_at({1.0, 0.0}, 10.0, pi), std::runtime_error);
@@ -454,7 +441,7 @@ TEST(TransientSolver, ZeroHorizonAndFrozenChain) {
   std::vector<double> pi;
   solver.distribution_at({0.25, 0.75}, 0.0, pi);
   EXPECT_DOUBLE_EQ(pi[0], 0.25);
-  EXPECT_DOUBLE_EQ(solver.accumulated_reward({0.25, 0.75}, {1.0, 0.0}, 0.0), 0.0);
+  EXPECT_DOUBLE_EQ(accumulated_reward(solver, {0.25, 0.75}, {1.0, 0.0}, 0.0), 0.0);
 
   // A chain with no transitions at all: pi(t) = pi(0), accumulated is linear.
   ct::Ctmc frozen;
@@ -463,6 +450,6 @@ TEST(TransientSolver, ZeroHorizonAndFrozenChain) {
   frozen_solver.prepare(frozen);
   frozen_solver.distribution_at({0.2, 0.3, 0.5}, 100.0, pi);
   EXPECT_DOUBLE_EQ(pi[1], 0.3);
-  EXPECT_NEAR(frozen_solver.accumulated_reward({0.2, 0.3, 0.5}, {1.0, 0.0, 0.0}, 10.0), 2.0,
+  EXPECT_NEAR(accumulated_reward(frozen_solver, {0.2, 0.3, 0.5}, {1.0, 0.0, 0.0}, 10.0), 2.0,
               1e-12);
 }
